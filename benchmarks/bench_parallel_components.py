@@ -53,9 +53,9 @@ import sys
 import time
 
 from _fixtures import BenchResult
+from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
 from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.executor import shutdown_pools
-from repro.core.solver import run_enumeration, run_maximum
 from repro.datasets.adversarial import build_instance
 from repro.graph.attributed_graph import AttributedGraph
 from repro.similarity.threshold import SimilarityPredicate
@@ -128,8 +128,22 @@ def warm_pool(workers: int) -> float:
     t0 = time.perf_counter()
     for flavour in ("process", "shm"):
         cfg = adv_enum_config(executor=flavour, workers=workers)
-        run_enumeration(g, 2, SimilarityPredicate("jaccard", 0.5), cfg)
+        solve_enumeration(g, 2, SimilarityPredicate("jaccard", 0.5), cfg)
     return time.perf_counter() - t0
+
+
+def solve_enumeration(graph, k, predicate, config):
+    """``(cores, stats)`` of one-shot enumeration under ``config``."""
+    return enumerate_maximal_krcores(
+        graph, k, predicate=predicate, config=config, with_stats=True
+    )
+
+
+def solve_maximum(graph, k, predicate, config):
+    """``(core, stats)`` of one-shot maximum search under ``config``."""
+    return find_maximum_krcore(
+        graph, k, predicate=predicate, config=config, with_stats=True
+    )
 
 
 def timed(fn, *args):
@@ -202,9 +216,9 @@ def main(argv=None) -> int:
     failures = 0
     speedups = {}
     runs = (
-        ("enumerate", run_enumeration, (enum_g, enum_k, enum_pred),
+        ("enumerate", solve_enumeration, (enum_g, enum_k, enum_pred),
          serial_enum, par_enum),
-        ("maximum", run_maximum, (union, union_k, union_pred),
+        ("maximum", solve_maximum, (union, union_k, union_pred),
          serial_max, par_max),
     )
     for name, fn, wl, cfg_s, cfg_p in runs:
@@ -255,7 +269,7 @@ def main(argv=None) -> int:
     giant_times = {}
     giant_runs = {}
     for label, cfg in giant_cfgs:
-        (res, stats), secs = timed(run_maximum, *giant_wl, cfg)
+        (res, stats), secs = timed(solve_maximum, *giant_wl, cfg)
         giant_times[label] = secs
         giant_runs[label] = (res, stats)
         print(f"{'giant/' + label:>16}: {secs:7.2f}s  "

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional, Tuple
 
 from repro.core.api import (
@@ -74,10 +73,7 @@ def _execution_parent() -> argparse.ArgumentParser:
                          "segments (results identical across all three)")
     ex.add_argument("--workers", type=int, default=None, metavar="N",
                     help="pool width for the process/shm executors "
-                         "(deprecated without --executor: implies "
-                         "--executor process)")
-    ex.add_argument("--shm", action="store_true", default=False,
-                    help="shorthand for --executor shm")
+                         "(needs --executor process or shm)")
     ex.add_argument("--split-depth", type=int, default=None, metavar="D",
                     help="split each component's branch tree at depth D "
                          "into independent subtree tasks (0 = whole "
@@ -149,27 +145,16 @@ def _load_graph(args) -> Tuple[AttributedGraph, SimilarityPredicate]:
     raise ReproError("pass a threshold: --r, --km or --permille")
 
 
-def _executor_overrides(args) -> dict:
-    """Map the execution flags to ExecutionPlan override kwargs."""
-    out: dict = {}
-    if args.executor is not None:
-        out["executor"] = args.executor
-    if args.shm:
-        out["shm"] = True
-    if args.workers is not None:
-        if args.executor is None and not args.shm:
-            warnings.warn(
-                "--workers without --executor implies '--executor process'; "
-                "this implication is deprecated — pass --executor (or --shm) "
-                "explicitly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            out["executor"] = "process"
-        out["workers"] = args.workers
-    if args.split_depth is not None:
-        out["split_depth"] = args.split_depth
-    return out
+def _plan_kwargs(args) -> dict:
+    """Map the execution flags to a ``plan=`` kwarg (empty when unset)."""
+    if args.workers is not None and args.executor not in ("process", "shm"):
+        raise ReproError("--workers needs --executor process or shm")
+    fields = {
+        name: getattr(args, name)
+        for name in ("executor", "workers", "split_depth")
+        if getattr(args, name) is not None
+    }
+    return {"plan": fields} if fields else {}
 
 
 def _cmd_mine(args) -> int:
@@ -179,7 +164,7 @@ def _cmd_mine(args) -> int:
         outcome, stats = session.top_cores(
             args.k, predicate=pred, t=args.top, algorithm=args.algorithm,
             time_limit=args.time_limit, with_stats=True,
-            **_executor_overrides(args),
+            **_plan_kwargs(args),
         )
         print(f"top {outcome.t} of {outcome.total_found} maximal "
               f"({args.k},{pred.r:g})-cores [{outcome.status}, "
@@ -192,7 +177,7 @@ def _cmd_mine(args) -> int:
     cores, stats = enumerate_maximal_krcores(
         graph, args.k, predicate=pred, algorithm=args.algorithm,
         backend=args.backend, time_limit=args.time_limit, with_stats=True,
-        **_executor_overrides(args),
+        **_plan_kwargs(args),
     )
     print(f"maximal ({args.k},{pred.r:g})-cores: {len(cores)} "
           f"[{stats.elapsed:.2f}s, {stats.nodes} nodes]")
@@ -213,7 +198,7 @@ def _cmd_maximum(args) -> int:
             args.k, predicate=pred, mode=args.mode,
             algorithm=args.algorithm, time_limit=args.time_limit,
             node_limit=args.node_limit, with_stats=True,
-            **_executor_overrides(args),
+            **_plan_kwargs(args),
         )
         if outcome.core is None:
             print(f"no ({args.k},{pred.r:g})-core found "
@@ -231,7 +216,7 @@ def _cmd_maximum(args) -> int:
     best, stats = find_maximum_krcore(
         graph, args.k, predicate=pred, algorithm=args.algorithm,
         backend=args.backend, time_limit=args.time_limit, with_stats=True,
-        **_executor_overrides(args),
+        **_plan_kwargs(args),
     )
     if best is None:
         print(f"no ({args.k},{pred.r:g})-core exists "
@@ -261,7 +246,7 @@ def _cmd_stats(args) -> int:
     stats = krcore_statistics(
         graph, args.k, predicate=pred, algorithm=args.algorithm,
         backend=args.backend, time_limit=args.time_limit,
-        **_executor_overrides(args),
+        **_plan_kwargs(args),
     )
     print(f"count={stats['count']} max_size={stats['max_size']} "
           f"avg_size={stats['avg_size']:.2f}")
@@ -283,7 +268,7 @@ def _print_sweep(args, ks: List[int], rs: Optional[List[float]]) -> int:
     rows, stats = session.sweep(
         ks, rs, predicate=pred, algorithm=args.algorithm,
         time_limit=args.time_limit, with_stats=True,
-        **_executor_overrides(args),
+        **_plan_kwargs(args),
     )
     for row in rows:
         print(f"k={row['k']} r={row['r']:g} count={row['count']} "
@@ -382,7 +367,7 @@ def _cmd_store(args) -> int:
         )
         rows, stats = session.sweep(
             args.ks, args.rs, time_limit=args.time_limit,
-            with_stats=True, **_executor_overrides(args),
+            with_stats=True, **_plan_kwargs(args),
         )
         fp = session.save(store, args.name)
         solves = stats.cache_hits + stats.cache_misses
@@ -404,7 +389,7 @@ def _cmd_serve(args) -> int:
         store,
         backend=args.backend,
         metric=args.metric,
-        **_executor_overrides(args),
+        **_plan_kwargs(args),
     )
     server = make_server(
         service, host=args.host, port=args.port, verbose=args.verbose,

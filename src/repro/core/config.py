@@ -15,20 +15,20 @@ Every technique of the paper is a flag here, so the benchmark ablations
 * ``backend``            — preprocessing kernels: ``"csr"`` (array-native
   CSR adjacency + vectorised peeling, the default) or ``"python"`` (the
   original set-based code, kept as a reference fallback);
-* ``executor`` / ``workers`` / ``shm`` / ``split_depth`` — the
-  execution plan: ``"serial"`` (one core, the default), ``"process"``
-  (independent k-core components fanned out over a process pool) or
-  ``"shm"`` (the same pool fed through ``multiprocessing.shared_memory``
-  segments instead of pickled payloads; see
-  :mod:`repro.core.executor`).  ``split_depth`` additionally splits the
-  top of each maximum search tree into independent subtree tasks.
-  Results and merged stats are identical across executors; the four
-  knobs travel together as an :class:`ExecutionPlan`.
+* ``executor`` / ``workers`` / ``split_depth`` — the execution plan:
+  ``"serial"`` (one core, the default), ``"process"`` (independent
+  k-core components fanned out over a process pool) or ``"shm"`` (the
+  same pool fed through ``multiprocessing.shared_memory`` segments
+  instead of pickled payloads; see :mod:`repro.core.executor`).
+  ``split_depth`` additionally splits the top of each maximum search
+  tree into independent subtree tasks.  Results and merged stats are
+  identical across executors; the three knobs travel together as an
+  :class:`ExecutionPlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 from repro.exceptions import InvalidParameterError
@@ -62,36 +62,29 @@ MAX_SPLIT_DEPTH = 12
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """How component searches execute — the four knobs as one object.
+    """How component searches execute — the three knobs as one object.
 
-    Replaces the loose ``executor``/``workers`` pair of earlier
-    releases as the single value threaded through
-    :class:`SearchConfig`, :class:`~repro.core.session.KRCoreSession`,
-    the one-shot API, the CLI and the service request knobs.
-
-    ``executor`` and ``shm`` are two spellings of one choice and are
-    kept in sync on construction: ``executor="shm"`` implies
-    ``shm=True`` and vice versa (``shm=True`` promotes any other
-    executor to ``"shm"``).
+    The single value that selects execution for :class:`SearchConfig`,
+    :class:`~repro.core.session.KRCoreSession`, the one-shot API, the
+    CLI and the service (``plan=``, as an object or its field dict).
     """
 
     executor: str = "serial"            # "serial" | "process" | "shm"
     workers: Optional[int] = None       # pool size; None = os.cpu_count()
-    shm: bool = False                   # shared-memory task transport
     split_depth: int = 0                # branch-tree split depth (maximum)
 
     def __post_init__(self) -> None:
-        if self.shm and self.executor != "shm":
-            object.__setattr__(self, "executor", "shm")
-        elif self.executor == "shm" and not self.shm:
-            object.__setattr__(self, "shm", True)
         if self.executor not in EXECUTORS:
             raise InvalidParameterError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
-        if self.workers is not None and self.workers < 1:
+        if self.workers is not None and (
+            not isinstance(self.workers, int)
+            or isinstance(self.workers, bool)
+            or self.workers < 1
+        ):
             raise InvalidParameterError(
-                f"workers must be a positive integer, got {self.workers}"
+                f"workers must be a positive integer, got {self.workers!r}"
             )
         if not isinstance(self.split_depth, int) or isinstance(
             self.split_depth, bool
@@ -106,75 +99,32 @@ class ExecutionPlan:
             )
 
 
+#: Field names of :class:`ExecutionPlan` (also fields of SearchConfig).
+PLAN_FIELDS = tuple(f.name for f in fields(ExecutionPlan))
+
+
 def resolve_execution_plan(
-    base: Optional[ExecutionPlan] = None,
-    *,
-    plan: Optional[Union[ExecutionPlan, dict]] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    shm: Optional[bool] = None,
-    split_depth: Optional[int] = None,
+    plan: Optional[Union[ExecutionPlan, dict]],
 ) -> Optional[ExecutionPlan]:
-    """Fold a ``plan=`` value or the loose legacy scalars into one plan.
+    """Validate and coerce a ``plan=`` value (``None`` passes through).
 
-    Exactly one spelling may be used per call: a whole ``plan`` (an
-    :class:`ExecutionPlan` or its field dict), or any subset of the four
-    scalars, which override the corresponding fields of ``base`` (the
-    config's current plan).  Returns ``None`` when nothing was
-    requested, so callers can skip the config evolve entirely.
-
-    The ``executor``/``shm`` pairing is resolved the way callers mean
-    it: overriding ``executor`` alone re-derives ``shm``, and
-    ``shm=False`` alone demotes an ``"shm"`` plan to ``"process"``
-    (keeping the pool) rather than to serial.
+    Accepts an :class:`ExecutionPlan` or its field dict; anything else,
+    including a dict with unknown fields, raises
+    :class:`~repro.exceptions.InvalidParameterError`.
     """
-    scalars = {
-        "executor": executor,
-        "workers": workers,
-        "shm": shm,
-        "split_depth": split_depth,
-    }
-    given = {name: value for name, value in scalars.items() if value is not None}
-    if plan is not None:
-        if given:
-            raise InvalidParameterError(
-                "pass either plan= or the executor/workers/shm/split_depth "
-                f"scalars, not both (got plan= and {sorted(given)})"
-            )
-        if isinstance(plan, dict):
-            plan = ExecutionPlan(**plan)
-        if not isinstance(plan, ExecutionPlan):
-            raise InvalidParameterError(
-                f"plan must be an ExecutionPlan or a field dict, "
-                f"got {type(plan).__name__}"
-            )
+    if plan is None or isinstance(plan, ExecutionPlan):
         return plan
-    if not given:
-        return None
-    if base is None:
-        base = ExecutionPlan()
-    fields = {
-        "executor": base.executor,
-        "workers": base.workers,
-        "shm": base.shm,
-        "split_depth": base.split_depth,
-    }
-    if executor is not None:
-        fields["executor"] = executor
-        if shm is None:
-            fields["shm"] = executor == "shm"
-    if shm is not None:
-        fields["shm"] = shm
-        if executor is None:
-            if shm:
-                fields["executor"] = "shm"
-            elif fields["executor"] == "shm":
-                fields["executor"] = "process"
-    if workers is not None:
-        fields["workers"] = workers
-    if split_depth is not None:
-        fields["split_depth"] = split_depth
-    return ExecutionPlan(**fields)
+    if not isinstance(plan, dict):
+        raise InvalidParameterError(
+            f"plan must be an ExecutionPlan or a field dict, "
+            f"got {type(plan).__name__}"
+        )
+    unknown = [name for name in plan if name not in PLAN_FIELDS]
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown plan field(s) {unknown}; choose from {list(PLAN_FIELDS)}"
+        )
+    return ExecutionPlan(**plan)
 
 
 @dataclass(frozen=True)
@@ -198,7 +148,6 @@ class SearchConfig:
     backend: str = "csr"                # preprocessing kernels: "csr" or "python"
     executor: str = "serial"            # "serial" | "process" | "shm"
     workers: Optional[int] = None       # process-pool size; None = os.cpu_count()
-    shm: bool = False                   # shared-memory task transport
     split_depth: int = 0                # maximum-search branch split depth
     seed: int = 0                       # RNG seed for the random order
     time_limit: Optional[float] = None  # seconds; None = unlimited
@@ -207,12 +156,7 @@ class SearchConfig:
     mode: str = "exact"                 # "exact" | "anytime" | "heuristic"
 
     def __post_init__(self) -> None:
-        # executor/shm are two spellings of one choice (see
-        # ExecutionPlan); keep them in sync before validating.
-        if self.shm and self.executor != "shm":
-            object.__setattr__(self, "executor", "shm")
-        elif self.executor == "shm" and not self.shm:
-            object.__setattr__(self, "shm", True)
+        self.plan  # building the plan validates the execution knobs
         if self.order not in VERTEX_ORDERS:
             raise InvalidParameterError(
                 f"order must be one of {VERTEX_ORDERS}, got {self.order!r}"
@@ -239,25 +183,6 @@ class SearchConfig:
             raise InvalidParameterError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.executor not in EXECUTORS:
-            raise InvalidParameterError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise InvalidParameterError(
-                f"workers must be a positive integer, got {self.workers}"
-            )
-        if not isinstance(self.split_depth, int) or isinstance(
-            self.split_depth, bool
-        ):
-            raise InvalidParameterError(
-                f"split_depth must be an integer, got {self.split_depth!r}"
-            )
-        if not 0 <= self.split_depth <= MAX_SPLIT_DEPTH:
-            raise InvalidParameterError(
-                f"split_depth must be in [0, {MAX_SPLIT_DEPTH}], "
-                f"got {self.split_depth}"
-            )
         if self.on_budget not in ("raise", "partial"):
             raise InvalidParameterError(
                 f"on_budget must be 'raise' or 'partial', got {self.on_budget!r}"
@@ -282,34 +207,19 @@ class SearchConfig:
     def plan(self) -> ExecutionPlan:
         """This config's execution knobs as one :class:`ExecutionPlan`."""
         return ExecutionPlan(
-            executor=self.executor,
-            workers=self.workers,
-            shm=self.shm,
-            split_depth=self.split_depth,
+            **{name: getattr(self, name) for name in PLAN_FIELDS}
         )
 
     def evolve(self, **changes) -> "SearchConfig":
         """Copy with some fields replaced (ablation helper).
 
         ``plan=`` (an :class:`ExecutionPlan` or its field dict) expands
-        into the four execution fields.  Overriding ``executor`` alone
-        re-derives ``shm`` (and vice versa) so a plain
-        ``evolve(executor="serial")`` on an shm config does not snap
-        back to ``"shm"`` through the constructor normalisation.
+        into the three execution fields.
         """
-        plan = changes.pop("plan", None)
+        plan = resolve_execution_plan(changes.pop("plan", None))
         if plan is not None:
-            if isinstance(plan, dict):
-                plan = ExecutionPlan(**plan)
-            for name in ("executor", "workers", "shm", "split_depth"):
+            for name in PLAN_FIELDS:
                 changes.setdefault(name, getattr(plan, name))
-        elif "executor" in changes and "shm" not in changes:
-            changes["shm"] = changes["executor"] == "shm"
-        elif "shm" in changes and "executor" not in changes:
-            if changes["shm"]:
-                changes["executor"] = "shm"
-            elif self.executor == "shm":
-                changes["executor"] = "process"
         return replace(self, **changes)
 
 

@@ -28,9 +28,9 @@ both backends, down to the search counters.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Union
 
-from repro.core.config import SearchConfig, adv_enum_config
+from repro.core.config import ExecutionPlan, SearchConfig, adv_enum_config
 from repro.core.results import KRCore, largest_core
 from repro.core.session import KRCoreSession
 from repro.exceptions import InvalidParameterError
@@ -50,12 +50,12 @@ class DynamicKRCoreMiner:
         The usual (k,r)-core parameters, fixed for the miner's lifetime.
     config:
         Solver configuration for the per-component searches (defaults to
-        AdvEnum; its ``backend`` selects the preprocessing kernels and
-        its ``executor``/``workers`` the execution layer).
-    executor / workers:
-        Component execution overrides (``"process"`` re-solves the dirty
-        components of each refresh over a worker pool — results are
-        identical to serial); applied on top of ``config``.
+        AdvEnum; its ``backend`` selects the preprocessing kernels).
+    plan:
+        Execution plan (an :class:`~repro.core.config.ExecutionPlan` or
+        its field dict) replacing the config's own; ``"process"``
+        re-solves the dirty components of each refresh over a worker
+        pool — results are identical to serial.
 
     Usage
     -----
@@ -71,16 +71,11 @@ class DynamicKRCoreMiner:
         k: int,
         predicate: SimilarityPredicate,
         config: Optional[SearchConfig] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
+        plan: Optional[Union[ExecutionPlan, dict]] = None,
     ):
         if k < 1:
             raise InvalidParameterError(f"k must be positive, got {k}")
-        cfg = config or adv_enum_config()
-        if executor is not None:
-            cfg = cfg.evolve(executor=executor)
-        if workers is not None:
-            cfg = cfg.evolve(workers=workers)
+        cfg = (config or adv_enum_config()).evolve(plan=plan)
         self._session = KRCoreSession(
             graph, config=cfg, copy=True,
         )

@@ -20,16 +20,16 @@ execution layer that exploits that:
   so the workers never inherit forked interpreter state), returning
   :class:`TaskOutcome` objects **in task order** so stats always merge
   deterministically;
-* :func:`component_hardness` / :func:`component_sort_key` — the shared
-  hardness estimate both the serial loops and the parallel schedulers
-  order components by (hardest first, so big components start while the
-  pool drains the small ones);
+* :func:`component_hardness` / :func:`component_sort_key` — the
+  hardness estimate a sweep's one-pass pool prefill orders its
+  de-duplicated searches by (hardest first, so big components start
+  while the pool drains the small ones);
 * :data:`MAXIMUM_BATCH` — the fixed batch width of the maximum solver's
-  two-phase schedule (see :func:`repro.core.solver.run_maximum`).
+  two-phase schedule (see :meth:`repro.core.session.KRCoreSession.maximum`).
 
 Selection happens via the config's :class:`~repro.core.config.ExecutionPlan`
-(``executor`` ``"serial"`` | ``"process"`` | ``"shm"``, plus ``workers``,
-``shm`` and ``split_depth``); :func:`make_executor` maps a config to
+(``executor`` ``"serial"`` | ``"process"`` | ``"shm"``, plus ``workers``
+and ``split_depth``); :func:`make_executor` maps a config to
 ``None`` (the classic in-process path), a :class:`SerialExecutor`
 (``workers=1`` — the degenerate pool, exercised so the task path never
 rots), or a :class:`ParallelExecutor`.  On the ``"shm"`` flavour the
@@ -74,7 +74,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.config import (  # noqa: F401  (ExecutionPlan re-exported)
     ExecutionPlan,
     SearchConfig,
-    resolve_execution_plan,
 )
 from repro.core.context import BitsetComponentContext, Budget, ComponentContext
 from repro.core.shm import (
@@ -137,9 +136,9 @@ def component_hardness(size: int, max_degree: int) -> int:
     expensive for scheduling): search-tree work scales with the number
     of branchable vertices times the branching pressure, so ``size *
     (max_degree + 1)`` ranks a large sparse component above a tiny dense
-    one and vice versa.  Both the serial loops and the parallel
-    schedulers order by this single function, so "which component runs
-    first" never depends on the executor.
+    one and vice versa.  A session sweep's pool prefill submits its
+    grid-wide batch in this order; single queries keep the session's
+    component order on every executor.
     """
     return size * (max_degree + 1)
 
@@ -242,7 +241,7 @@ def component_task(
     """
     cfg = config.evolve(executor="serial", workers=None, time_limit=None)
     payload = shm_payload
-    if payload is None and config.shm:
+    if payload is None and config.executor == "shm":
         payload = pack_component(vertices, adj, index, bitset=bitset)
     common = dict(
         cid=cid,

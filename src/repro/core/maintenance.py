@@ -64,6 +64,7 @@ from repro.core.solver import (
     component_adjacency,
     component_edges_key,
     component_edges_key_csr,
+    component_order_key,
     max_component_degree,
 )
 from repro.core.stats import SearchStats
@@ -326,7 +327,7 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
         if dead_sigs:
             # Enumeration entries merge order-independently, so only the
             # dead signatures' entries go.  Maximum-mode entries are
-            # evicted *family-wide*: ``_run_maximum`` folds an exact
+            # evicted *family-wide*: ``_solve_maximum`` folds an exact
             # cache hit into the incumbent at batch-formation time, so a
             # surviving entry for a schedule-later component could
             # capture a size tie that a fresh (all-miss) run awards to a
@@ -354,12 +355,7 @@ def _maintain(session, kind: str, u: int, v: Optional[int], ms: MaintenanceStats
 
         kept = [p for p in parts if touched.isdisjoint(p.vertices)]
         merged = kept + new_parts
-        # Reproduce the fresh preparation order exactly: a stable
-        # max-degree sort over the canonical (-size, min-id) component
-        # order is the same as this one total key.
-        merged.sort(
-            key=lambda p: (-p.max_degree, -len(p.vertices), min(p.vertices))
-        )
+        merged.sort(key=component_order_key)  # the fresh preparation order
         session._prepared[pkey] = merged
 
     # The structural backbone (``session._backbone``) is deliberately

@@ -1,11 +1,16 @@
-"""Prepared-graph query sessions: amortised (k,r)-core mining.
+"""Prepared-graph query sessions: the one (k,r)-core pipeline.
 
-The one-shot entry points of :mod:`repro.core.api` re-run Algorithm 1's
-whole front end — dissimilar-edge deletion, k-core peel, component
-split, index build — on every call, even when the caller queries the
-same graph at ten different ``(k, r)`` settings (exactly the workload of
-the paper's Figures 7, 13 and 14).  :class:`KRCoreSession` freezes a
-graph once and serves repeated queries against layered caches:
+The paper runs both problems through one pipeline: Algorithm 1's shared
+front end — dissimilar-edge deletion, k-core peel, component split,
+index build — then a search per component.  :class:`KRCoreSession` is
+the only place that pipeline is orchestrated.  The one-shot entry
+points of :mod:`repro.core.api` run it on a throwaway session, and so
+do the CLI, the service, the bench harness and the fuzz harness;
+:func:`prepare_components` exposes its front end alone.  The stages
+themselves live in :mod:`repro.core.solver`.
+
+A session freezes a graph once and serves repeated queries (exactly the
+workload of the paper's Figures 7, 13 and 14) against layered caches:
 
 * **edge-value layer** — per metric, the metric value of every edge is
   computed once (:class:`~repro.similarity.cache.EdgeSimilarityCache`);
@@ -28,10 +33,9 @@ graph once and serves repeated queries against layered caches:
 
 All reuse is observable through the ``cache_hits`` / ``cache_misses`` /
 ``reused_*`` / ``seeded_peels`` counters on
-:class:`~repro.core.stats.SearchStats`.  Results are identical to the
-one-shot API on both backends; the one-shot functions are themselves
-thin wrappers over a throwaway session.  See README "Sessions and
-repeated queries".
+:class:`~repro.core.stats.SearchStats`; a warm query returns exactly
+what a throwaway session would, on both backends.  See README
+"Sessions and repeated queries".
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from repro.core.config import (
     SearchConfig,
     adv_enum_config,
     resolve_enum_config,
-    resolve_execution_plan,
     resolve_max_config,
 )
 from repro.core.context import Budget, ComponentContext
@@ -84,6 +87,7 @@ from repro.core.solver import (
     component_edges_key,
     component_edges_key_csr,
     component_index,
+    component_order_key,
     component_sets,
     freeze_graph,
     improves,
@@ -536,10 +540,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -547,20 +547,16 @@ class KRCoreSession:
         """All maximal (k,r)-cores, sorted by decreasing size.
 
         Mirrors :func:`repro.core.api.enumerate_maximal_krcores`
-        parameter-for-parameter (``plan=`` selects execution; the loose
-        ``executor=``/``workers=``/``shm=``/``split_depth=`` spellings
-        are deprecated aliases); repeated queries are served from the
-        session caches (observable via the stats reuse counters).
+        parameter-for-parameter (``plan=`` selects execution); repeated
+        queries are served from the session caches (observable via the
+        stats reuse counters).
         """
         predicate = self._resolve_predicate(r, metric, predicate)
         engine, cfg = resolve_enumeration_setup(
             algorithm, config if config is not None else self._default_config
         )
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, node_limit, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
-        cores, stats = self._run_enumeration(k, predicate, cfg, engine)
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, node_limit)
+        cores, stats = self._solve_enumeration(k, predicate, cfg, engine)
         cores.sort(key=lambda c: (-c.size, sorted(c.vertices)))
         self.total_stats.merge(stats)
         if with_stats:
@@ -578,10 +574,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -594,11 +586,8 @@ class KRCoreSession:
             cfg = self._default_config
         else:
             cfg = resolve_max_config(algorithm)
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, node_limit, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
-        core, stats = self._run_maximum(k, predicate, cfg)
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, node_limit)
+        core, stats = self._solve_maximum(k, predicate, cfg)
         self.total_stats.merge(stats)
         if with_stats:
             return core, stats
@@ -616,10 +605,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -649,10 +634,7 @@ class KRCoreSession:
             cfg = self._default_config
         else:
             cfg = resolve_max_config(algorithm)
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, node_limit, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, node_limit)
         mode = mode if mode is not None else cfg.mode
         if mode not in QUERY_MODES:
             raise InvalidParameterError(
@@ -685,7 +667,7 @@ class KRCoreSession:
             return (outcome, stats) if with_stats else outcome
 
         run_cfg = cfg.evolve(on_budget="partial") if mode == "anytime" else cfg
-        core, stats = self._run_maximum(k, predicate, run_cfg)
+        core, stats = self._solve_maximum(k, predicate, run_cfg)
         self.total_stats.merge(stats)
         size = core.size if core is not None else 0
         if stats.timed_out:
@@ -742,10 +724,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -766,9 +744,8 @@ class KRCoreSession:
             cores, stats = self.enumerate(
                 k, r, metric=metric, predicate=predicate,
                 algorithm=algorithm, config=config, backend=backend,
-                plan=plan, executor=executor, workers=workers, shm=shm,
-                split_depth=split_depth, time_limit=time_limit,
-                node_limit=node_limit, with_stats=True,
+                plan=plan, time_limit=time_limit, node_limit=node_limit,
+                with_stats=True,
             )
         except SearchBudgetExceeded as exc:
             cores, stats = exc.partial
@@ -792,10 +769,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
         with_stats: bool = False,
@@ -803,8 +776,7 @@ class KRCoreSession:
         """Count / max size / average size of all maximal (k,r)-cores."""
         cores, stats = self.enumerate(
             k, r, metric=metric, predicate=predicate, algorithm=algorithm,
-            config=config, backend=backend, plan=plan, executor=executor,
-            workers=workers, shm=shm, split_depth=split_depth,
+            config=config, backend=backend, plan=plan,
             time_limit=time_limit, node_limit=node_limit, with_stats=True,
         )
         summary = summarize_cores(cores)
@@ -823,10 +795,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         node_limit: Optional[int] = None,
     ) -> Dict[int, int]:
@@ -836,8 +804,7 @@ class KRCoreSession:
         """
         cores = self.enumerate(
             k, r, metric=metric, predicate=predicate, algorithm=algorithm,
-            config=config, backend=backend, plan=plan, executor=executor,
-            workers=workers, shm=shm, split_depth=split_depth,
+            config=config, backend=backend, plan=plan,
             time_limit=time_limit, node_limit=node_limit,
         )
         counts: Dict[int, int] = {}
@@ -857,10 +824,6 @@ class KRCoreSession:
         config: Optional[SearchConfig] = None,
         backend: Optional[str] = None,
         plan: Optional[Union[ExecutionPlan, dict]] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
         time_limit: Optional[float] = None,
         with_stats: bool = False,
     ):
@@ -883,10 +846,7 @@ class KRCoreSession:
         engine, cfg = resolve_enumeration_setup(
             algorithm, config if config is not None else self._default_config
         )
-        cfg = self._apply_overrides(
-            cfg, backend, time_limit, None, executor, workers,
-            plan=plan, shm=shm, split_depth=split_depth,
-        )
+        cfg = self._apply_overrides(cfg, backend, plan, time_limit, None)
         if make_executor(cfg) is not None:
             self._sweep_prefill(ks, rs, metric, predicate, engine, cfg, agg)
         rows_by: Dict[Tuple[int, float], Dict[str, float]] = {}
@@ -901,9 +861,7 @@ class KRCoreSession:
                         else None
                     ),
                     algorithm=algorithm, config=config, backend=backend,
-                    plan=plan, executor=executor, workers=workers,
-                    shm=shm, split_depth=split_depth,
-                    time_limit=time_limit, with_stats=True,
+                    plan=plan, time_limit=time_limit, with_stats=True,
                 )
                 rows_by[(k_, r_)] = {"k": k_, "r": r_, **summary}
                 agg.merge(stats)
@@ -1010,24 +968,15 @@ class KRCoreSession:
         self,
         cfg: SearchConfig,
         backend: Optional[str],
+        plan: Optional[Union[ExecutionPlan, dict]],
         time_limit: Optional[float],
         node_limit: Optional[int],
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        *,
-        plan: Optional[Union[ExecutionPlan, dict]] = None,
-        shm: Optional[bool] = None,
-        split_depth: Optional[int] = None,
     ) -> SearchConfig:
         backend = backend if backend is not None else self._default_backend
         if backend is not None:
             cfg = cfg.evolve(backend=backend)
-        resolved = resolve_execution_plan(
-            base=cfg.plan, plan=plan, executor=executor, workers=workers,
-            shm=shm, split_depth=split_depth,
-        )
-        if resolved is not None:
-            cfg = cfg.evolve(plan=resolved)
+        if plan is not None:
+            cfg = cfg.evolve(plan=plan)
         if time_limit is not None:
             cfg = cfg.evolve(time_limit=time_limit)
         if node_limit is not None:
@@ -1052,7 +1001,7 @@ class KRCoreSession:
             executor="serial", workers=None, mode="exact",
         )
 
-    def _run_enumeration(
+    def _solve_enumeration(
         self,
         k: int,
         predicate: SimilarityPredicate,
@@ -1125,7 +1074,7 @@ class KRCoreSession:
         stats.elapsed = time.monotonic() - start
         return cores, stats
 
-    def _run_maximum(
+    def _solve_maximum(
         self,
         k: int,
         predicate: SimilarityPredicate,
@@ -1318,7 +1267,7 @@ class KRCoreSession:
                     csr=filtered if backend == "csr" else None,
                 )
             )
-        parts.sort(key=lambda part: -part.max_degree)  # stable: ties keep order
+        parts.sort(key=component_order_key)
         self._prepared[pkey] = parts
         self._metric_queries[mkey] = served + 1
         stats.components = len(parts)
@@ -1496,3 +1445,27 @@ class KRCoreSession:
     # :func:`repro.core.solver.component_edges_key_csr`.
     _edges_key = staticmethod(component_edges_key)
     _edges_key_csr = staticmethod(component_edges_key_csr)
+
+
+def prepare_components(
+    graph: Union[AttributedGraph, CSRGraph],
+    k: int,
+    predicate: SimilarityPredicate,
+    config: SearchConfig,
+    stats: SearchStats,
+    budget: Budget,
+) -> List[ComponentContext]:
+    """Algorithm 1's front end alone: one context per k-core component.
+
+    Runs the session's preprocessing chain on a throwaway session
+    (``config.backend`` selects the kernels; both produce identical
+    contexts) and wraps each prepared component as a search-ready
+    :class:`~repro.core.context.ComponentContext`, in the session's
+    component order.  For callers that drive an engine directly: the
+    brute-force oracle, white-box tests and kernel benchmarks.
+    """
+    session = KRCoreSession(graph, copy=False)
+    return [
+        session._context(part, k, config, stats, budget)
+        for part in session._prepare(k, predicate, config.backend, stats)
+    ]

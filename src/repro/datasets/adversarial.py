@@ -629,20 +629,16 @@ def hardness_score(
     deterministic, hardware-independent measure of how hard the instance
     made the engine work.
     """
-    from repro.core.config import adv_enum_config, adv_max_config
-    from repro.core.solver import run_enumeration, run_maximum
+    from repro.core.session import KRCoreSession
 
-    if mode == "maximum":
-        cfg = config if config is not None else adv_max_config()
-        _, stats = run_maximum(instance.graph, instance.k, instance.predicate(), cfg)
-    elif mode == "enumerate":
-        cfg = config if config is not None else adv_enum_config()
-        _, stats = run_enumeration(
-            instance.graph, instance.k, instance.predicate(), cfg
-        )
-    else:
+    if mode not in ("maximum", "enumerate"):
         raise InvalidParameterError(
             f"mode must be 'maximum' or 'enumerate', got {mode!r}"
         )
+    session = KRCoreSession(instance.graph, copy=False)
+    _, stats = getattr(session, mode)(
+        instance.k, predicate=instance.predicate(), config=config,
+        with_stats=True,
+    )
     payload = stats.to_dict()
     return score_from_counters(payload), payload

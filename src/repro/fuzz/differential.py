@@ -1,6 +1,9 @@
 """Differential execution: python engine vs csr engine vs oracle.
 
-Three independent implementations must agree on every case:
+Every run goes through :class:`~repro.core.session.KRCoreSession`, the
+one pipeline the API, the CLI and the service use, so the harness
+checks the path users hit.  Three independent implementations must
+agree on every case:
 
 1. the set-based reference engines (``backend="python"``);
 2. the packed-bitset engines (``backend="csr"``) — documented to mirror
@@ -41,8 +44,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import adv_enum_config
 from repro.core.context import Budget
 from repro.core.naive import _is_krcore_vertexset, brute_force_maximal_krcores
-from repro.core.session import KRCoreSession
-from repro.core.solver import prepare_components, run_enumeration, run_maximum
+from repro.core.session import KRCoreSession, prepare_components
 from repro.core.stats import SearchStats
 from repro.fuzz.space import FuzzCase
 
@@ -109,13 +111,10 @@ def _run_backend(case: FuzzCase, backend: str, executor: str = "serial"):
     :func:`run_case`) so every divergence is attributable to exactly one
     axis.
     """
-    cfg = case.config(backend, executor=executor)
-    if case.mode == "maximum":
-        best, stats = run_maximum(case.graph, case.k, case.predicate(), cfg)
-        result = frozenset(best.vertices) if best is not None else None
-        return result, stats
-    cores, stats = run_enumeration(case.graph, case.k, case.predicate(), cfg)
-    return sorted(sorted(c.vertices) for c in cores), stats
+    session = KRCoreSession(case.graph, copy=False)
+    return _query_session(
+        case, session, config=case.config(backend, executor=executor)
+    )
 
 
 def _oracle_components(case: FuzzCase, limit: int):
@@ -391,7 +390,7 @@ def run_edit_stream_case(
         maintained.drop_results()
         try:
             res_pp, stats_pp = _query_session(
-                case, maintained, executor=pool
+                case, maintained, config=case.config("csr")
             )
         except Exception:
             out.disagreement = Disagreement(

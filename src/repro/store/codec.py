@@ -32,7 +32,7 @@ _METRIC_BY_FN: Dict[Callable, str] = {fn: name for name, fn in _METRIC_NAMES.ite
 _CONFIG_FIELDS = (
     "order", "branch", "lam", "retain_candidates", "move_similarity_free",
     "early_termination", "maximal_check", "check_order", "bound",
-    "warm_start", "backend", "executor", "workers", "shm", "split_depth",
+    "warm_start", "backend", "executor", "workers", "split_depth",
     "seed", "time_limit", "node_limit", "on_budget", "mode",
 )
 
@@ -117,7 +117,14 @@ def encode_config(cfg: SearchConfig) -> Dict[str, Any]:
 
 
 def decode_config(fields: Dict[str, Any]) -> SearchConfig:
-    """Rebuild a :class:`SearchConfig` from its field dict."""
+    """Rebuild a :class:`SearchConfig` from its field dict.
+
+    Rows written before the ``shm`` field was retired carry
+    ``"shm": false`` (stored configs are always serial); that key is
+    dropped so their warm results still load.
+    """
+    if fields.get("shm") is False:
+        fields = {name: v for name, v in fields.items() if name != "shm"}
     try:
         return SearchConfig(**fields)
     except TypeError as exc:

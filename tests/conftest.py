@@ -21,7 +21,7 @@ import pytest
 from repro.core.config import SearchConfig, adv_enum_config
 from repro.core.context import Budget, ComponentContext
 from repro.core.naive import brute_force_maximal_krcores
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph

@@ -27,20 +27,13 @@ from repro.core.executor import (
     ParallelExecutor,
     SerialExecutor,
     component_hardness,
-    component_sort_key,
     make_executor,
     solve_component_task,
     task_from_context,
 )
-from repro.core.solver import (
-    iter_maximum_batches,
-    maximum_schedule,
-    order_components,
-    prepare_components,
-    run_enumeration,
-    run_maximum,
-)
-from repro.core.session import KRCoreSession
+from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
+from repro.core.solver import iter_maximum_batches, maximum_schedule
+from repro.core.session import KRCoreSession, prepare_components
 from repro.core.stats import SearchStats
 from repro.datasets.adversarial import build_instance
 from repro.exceptions import (
@@ -99,6 +92,26 @@ def multi_component_graph(pieces=4):
     return g, insts[0].k, insts[0].predicate()
 
 
+#: The pool plans the parity tests replay serial runs over.
+POOL2 = {"executor": "process", "workers": 2}
+
+
+def enum_run(graph, k, predicate, config, **kwargs):
+    """``(cores, stats)`` of one-shot enumeration (the session path)."""
+    return enumerate_maximal_krcores(
+        graph, k, predicate=predicate, config=config, with_stats=True,
+        **kwargs,
+    )
+
+
+def max_run(graph, k, predicate, config, **kwargs):
+    """``(core, stats)`` of one-shot maximum search (the session path)."""
+    return find_maximum_krcore(
+        graph, k, predicate=predicate, config=config, with_stats=True,
+        **kwargs,
+    )
+
+
 def assert_stats_parity(a: SearchStats, b: SearchStats, label=""):
     diffs = {
         name: (getattr(a, name), getattr(b, name))
@@ -139,7 +152,7 @@ class TestConfig:
 
 
 # ----------------------------------------------------------------------
-# Shared hardness-aware scheduling (satellite: one ordering function)
+# Scheduling: the pool's hardness estimate and the one component order
 # ----------------------------------------------------------------------
 
 class TestHardnessOrdering:
@@ -150,10 +163,9 @@ class TestHardnessOrdering:
         assert component_hardness(10, 9) > component_hardness(5, 4)
 
     def test_order_pinned_on_mixed_size_fixture(self):
-        # Three components: a 6-clique (36), a 12-ring (36 -- tie broken
-        # by size), and a 20-vertex path (60, hardest).  The regression
-        # this pins: the old max-degree-only proxy would have put the
-        # clique first and the path last.
+        # Three components: a 6-clique (max degree 5), a 12-ring and a
+        # 20-vertex path (max degree 2 each -- tie broken by size).  The
+        # prepared order is the session's: densest first, then largest.
         g = AttributedGraph(38)
         for i in range(6):
             for j in range(i + 1, 6):
@@ -169,7 +181,7 @@ class TestHardnessOrdering:
             g, 1, pred, adv_enum_config(), SearchStats(), Budget(None, None)
         )
         sizes = [len(ctx.vertices) for ctx in ctxs]
-        assert sizes == [20, 12, 6]
+        assert sizes == [6, 20, 12]
 
     @pytest.mark.parametrize("backend", ("python", "csr"))
     def test_order_is_backend_independent(self, backend):
@@ -179,17 +191,14 @@ class TestHardnessOrdering:
             SearchStats(), Budget(None, None),
         )
         keys = [
-            component_sort_key(
-                len(c.vertices),
-                max(len(n) for n in c.adj.values()),
+            (
+                -max(len(n) for n in c.adj.values()),
+                -len(c.vertices),
                 min(c.vertices),
             )
             for c in ctxs
         ]
         assert keys == sorted(keys)
-
-    def test_order_components_empty_passthrough(self):
-        assert order_components([]) == []
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +252,14 @@ class TestParallelParity:
     @pytest.mark.parametrize("engine", ("engine", "clique"))
     def test_enumeration_matrix(self, family, backend, engine):
         inst = family_instance(family)
-        cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), cfg, engine=engine
+        algorithm = "advanced" if engine == "engine" else engine
+        serial, st_s = enum_run(
+            inst.graph, inst.k, inst.predicate(), None,
+            algorithm=algorithm, backend=backend,
         )
-        par, st_p = run_enumeration(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="process", workers=2), engine=engine,
+        par, st_p = enum_run(
+            inst.graph, inst.k, inst.predicate(), None,
+            algorithm=algorithm, backend=backend, plan=POOL2,
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
         assert_stats_parity(st_s, st_p, f"{family}/{backend}/{engine}")
@@ -260,10 +270,9 @@ class TestParallelParity:
     def test_maximum_matrix(self, family, backend, order):
         inst = family_instance(family, maximum=True)
         cfg = adv_max_config(backend=backend, order=order, seed=5)
-        serial, st_s = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_maximum(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="process", workers=2),
+        serial, st_s = max_run(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = max_run(
+            inst.graph, inst.k, inst.predicate(), cfg, plan=POOL2
         )
         assert (serial is None) == (par is None)
         if serial is not None:
@@ -274,9 +283,9 @@ class TestParallelParity:
     def test_multi_component_parity(self, backend):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(g, k, pred, cfg)
-        par, st_p = run_enumeration(
-            g, k, pred, cfg.evolve(executor="process", workers=3)
+        serial, st_s = enum_run(g, k, pred, cfg)
+        par, st_p = enum_run(
+            g, k, pred, cfg, plan={"executor": "process", "workers": 3}
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
         assert_stats_parity(st_s, st_p, "multi-component")
@@ -285,10 +294,9 @@ class TestParallelParity:
     def test_single_component_graph(self):
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config()
-        serial, st_s = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_maximum(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="process", workers=2),
+        serial, st_s = max_run(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = max_run(
+            inst.graph, inst.k, inst.predicate(), cfg, plan=POOL2
         )
         assert st_s.components == st_p.components == 1
         assert set(serial.vertices) == set(par.vertices)
@@ -304,11 +312,11 @@ class TestParallelParity:
 
         g = make_random_attr_graph(seed, n=9, p=0.6, attrs=3)
         pred = SimilarityPredicate("jaccard", 0.25)
-        cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(g, 2, pred, cfg, engine="naive")
-        par, st_p = run_enumeration(
-            g, 2, pred, cfg.evolve(executor="process", workers=2),
-            engine="naive",
+        serial, st_s = enum_run(
+            g, 2, pred, None, algorithm="naive", backend=backend
+        )
+        par, st_p = enum_run(
+            g, 2, pred, None, algorithm="naive", backend=backend, plan=POOL2
         )
         assert serial  # non-trivial fixture
         assert as_sorted_sets(serial) == as_sorted_sets(par)
@@ -318,15 +326,15 @@ class TestParallelParity:
         pred = SimilarityPredicate("jaccard", 0.5)
         cfg = adv_enum_config(executor="process", workers=2)
         empty = AttributedGraph(0)
-        assert run_enumeration(empty, 2, pred, cfg)[0] == []
-        assert run_maximum(empty, 2, pred, adv_max_config(
+        assert enum_run(empty, 2, pred, cfg)[0] == []
+        assert max_run(empty, 2, pred, adv_max_config(
             executor="process", workers=2))[0] is None
         # Non-empty graph, but k too large for any core to survive.
         g = AttributedGraph(4)
         g.add_edge(0, 1)
         g.set_attribute(0, frozenset({"a"}))
         g.set_attribute(1, frozenset({"a"}))
-        cores, stats = run_enumeration(g, 3, pred, cfg)
+        cores, stats = enum_run(g, 3, pred, cfg)
         assert cores == [] and stats.components == 0
 
     def test_interleaved_empty_result_parity(self):
@@ -335,10 +343,9 @@ class TestParallelParity:
         # engines do real work, and the result set is empty either way.
         inst = build_instance("interleaved", n=24, vocab=10, window=4, half=2)
         cfg = adv_enum_config()
-        serial, st_s = run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_enumeration(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="process", workers=2),
+        serial, st_s = enum_run(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = enum_run(
+            inst.graph, inst.k, inst.predicate(), cfg, plan=POOL2
         )
         assert serial == [] and par == []
         assert_stats_parity(st_s, st_p, "interleaved empty")
@@ -346,9 +353,9 @@ class TestParallelParity:
     def test_workers_one_degenerates_to_serial(self):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config()
-        serial, st_s = run_enumeration(g, k, pred, cfg)
-        degen, st_d = run_enumeration(
-            g, k, pred, cfg.evolve(executor="process", workers=1)
+        serial, st_s = enum_run(g, k, pred, cfg)
+        degen, st_d = enum_run(
+            g, k, pred, cfg, plan={"executor": "process", "workers": 1}
         )
         assert as_sorted_sets(serial) == as_sorted_sets(degen)
         assert_stats_parity(st_s, st_d, "workers=1")
@@ -403,16 +410,16 @@ class TestMaximumSchedule:
             g.set_attribute(u, frozenset({"s"}))
         pred = SimilarityPredicate("jaccard", 0.1)
 
-        import repro.core.solver as solver_mod
+        import repro.core.session as session_mod
         searched = []
-        real = solver_mod.find_maximum_in_component
+        real = session_mod.find_maximum_in_component
 
         def spy(ctx, best=None):
             searched.append(len(ctx.vertices))
             return real(ctx, best)
 
-        monkeypatch.setattr(solver_mod, "find_maximum_in_component", spy)
-        best, _ = run_maximum(g, 2, pred, adv_max_config())
+        monkeypatch.setattr(session_mod, "find_maximum_in_component", spy)
+        best, _ = max_run(g, 2, pred, adv_max_config())
         assert len(best.vertices) == 8
         # Batch one is MAXIMUM_BATCH wide: the 8-clique plus three
         # triangles (all seeded with None).  The between-batch early
@@ -432,7 +439,7 @@ class TestFailurePaths:
         inst = family_instance("borderline")
         cfg = adv_enum_config(executor="process", workers=workers)
         with pytest.raises(ComponentExecutionError) as err:
-            run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
+            enum_run(inst.graph, inst.k, inst.predicate(), cfg)
         assert err.value.component_id is not None
         assert err.value.error_type == "RuntimeError"
         assert "injected worker fault" in str(err.value)
@@ -441,14 +448,14 @@ class TestFailurePaths:
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config(executor="process", workers=2, node_limit=3)
         with pytest.raises(SearchBudgetExceeded):
-            run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
+            max_run(inst.graph, inst.k, inst.predicate(), cfg)
 
     def test_node_limit_partial_mode_under_process_executor(self):
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config(
             executor="process", workers=2, node_limit=3, on_budget="partial"
         )
-        _, stats = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
+        _, stats = max_run(inst.graph, inst.k, inst.predicate(), cfg)
         assert stats.timed_out
 
     @pytest.mark.parametrize("executor_kw", (
@@ -474,13 +481,13 @@ class TestFailurePaths:
                     g.set_attribute(off + u, inst.graph.attribute(u))
             off += inst.graph.vertex_count
         k, pred = insts[0].k, insts[0].predicate()
-        full, full_stats = run_maximum(g, k, pred, adv_max_config())
+        full, full_stats = max_run(g, k, pred, adv_max_config())
         assert full is not None and full_stats.components == 2
         cfg = adv_max_config(
             node_limit=full_stats.nodes - 1, on_budget="partial",
             **executor_kw,
         )
-        partial, stats = run_maximum(g, k, pred, cfg)
+        partial, stats = max_run(g, k, pred, cfg)
         assert stats.timed_out
         assert partial is not None
         assert len(partial.vertices) == len(full.vertices)
@@ -492,8 +499,7 @@ class TestFailurePaths:
         g, k, pred = multi_component_graph()
         cfg = SearchConfig(node_limit=20, on_budget="partial")
         rows = KRCoreSession(g).sweep(
-            [k], [pred.r], predicate=pred, config=cfg,
-            executor="process", workers=2,
+            [k], [pred.r], predicate=pred, config=cfg, plan=POOL2,
         )
         assert len(rows) == 1 and rows[0]["k"] == k
 
@@ -501,13 +507,13 @@ class TestFailurePaths:
         # Each component individually stays under the cap, but the sum
         # does not: the coordinator must still enforce the shared cap.
         g, k, pred = multi_component_graph()
-        _, st = run_enumeration(g, k, pred, adv_enum_config())
+        _, st = enum_run(g, k, pred, adv_enum_config())
         per_comp_max = st.nodes  # total across all components
         assert st.components >= 3
         cap = per_comp_max - 1
         cfg = adv_enum_config(executor="process", workers=2, node_limit=cap)
         with pytest.raises(SearchBudgetExceeded):
-            run_enumeration(g, k, pred, cfg)
+            enum_run(g, k, pred, cfg)
 
     def test_early_termination_fires_under_process_executor(self):
         from conftest import make_random_attr_graph
@@ -515,10 +521,8 @@ class TestFailurePaths:
         g = make_random_attr_graph(19, n=10, p=0.7, attrs=3)
         pred = SimilarityPredicate("jaccard", 0.25)
         cfg = adv_enum_config()
-        _, st_s = run_enumeration(g, 2, pred, cfg)
-        _, st_p = run_enumeration(
-            g, 2, pred, cfg.evolve(executor="process", workers=2)
-        )
+        _, st_s = enum_run(g, 2, pred, cfg)
+        _, st_p = enum_run(g, 2, pred, cfg, plan=POOL2)
         assert st_s.early_term_i + st_s.early_term_ii > 0
         assert (
             st_p.early_term_i + st_p.early_term_ii
@@ -528,8 +532,8 @@ class TestFailurePaths:
     def test_theorem5_under_two_phase_maximum_schedule(self):
         inst = family_instance("onion", maximum=True)
         cfg = adv_max_config(executor="process", workers=2)
-        _, st_p = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        _, st_s = run_maximum(
+        _, st_p = max_run(inst.graph, inst.k, inst.predicate(), cfg)
+        _, st_s = max_run(
             inst.graph, inst.k, inst.predicate(), adv_max_config()
         )
         assert st_p.bound_pruned == st_s.bound_pruned
@@ -548,7 +552,7 @@ class TestFailurePaths:
 
         monkeypatch.setattr(executor_mod.ParallelExecutor, "run", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            session.enumerate(k, predicate=pred, executor="process", workers=2)
+            session.enumerate(k, predicate=pred, plan=POOL2)
         monkeypatch.undo()
         # No invalidate(): the interrupted run must not have poisoned
         # the result cache; the serial re-query is correct.
@@ -567,13 +571,13 @@ class TestSessionExecutor:
         s_par = KRCoreSession(g)
         a = s_serial.enumerate(k, predicate=pred)
         b, st_b = s_par.enumerate(
-            k, predicate=pred, executor="process", workers=2, with_stats=True
+            k, predicate=pred, plan=POOL2, with_stats=True
         )
         assert as_sorted_sets(a) == as_sorted_sets(b)
         assert st_b.cache_misses == st_b.components
         # Repeat query: everything from cache, regardless of executor.
         c, st_c = s_par.enumerate(
-            k, predicate=pred, executor="process", workers=2, with_stats=True
+            k, predicate=pred, plan=POOL2, with_stats=True
         )
         assert as_sorted_sets(c) == as_sorted_sets(a)
         assert st_c.cache_misses == 0
@@ -586,9 +590,7 @@ class TestSessionExecutor:
     def test_session_maximum_parity(self):
         g, k, pred = multi_component_graph()
         a = KRCoreSession(g).maximum(k, predicate=pred)
-        b = KRCoreSession(g).maximum(
-            k, predicate=pred, executor="process", workers=2
-        )
+        b = KRCoreSession(g).maximum(k, predicate=pred, plan=POOL2)
         assert (a is None) == (b is None)
         if a is not None:
             assert set(a.vertices) == set(b.vertices)
@@ -600,8 +602,7 @@ class TestSessionExecutor:
         rows_serial = KRCoreSession(g).sweep(ks, rs, predicate=pred)
         s_par = KRCoreSession(g)
         rows_par, stats = s_par.sweep(
-            ks, rs, predicate=pred, executor="process", workers=2,
-            with_stats=True,
+            ks, rs, predicate=pred, plan=POOL2, with_stats=True,
         )
         assert rows_par == rows_serial
         # The prefill solved every component exactly once; the per-point
@@ -614,7 +615,7 @@ class TestSessionExecutor:
         from repro.core.dynamic import DynamicKRCoreMiner
 
         serial = DynamicKRCoreMiner(g, k, pred)
-        par = DynamicKRCoreMiner(g, k, pred, executor="process", workers=2)
+        par = DynamicKRCoreMiner(g, k, pred, plan=POOL2)
         assert as_sorted_sets(serial.cores()) == as_sorted_sets(par.cores())
         edge = None
         verts = sorted(g.vertices())

@@ -5,9 +5,10 @@ merged PARITY_COUNTERS byte-identical to serial across the backend x
 engine x order matrix), branch splitting must be a pure function of
 ``split_depth`` (identical inline / process / shm), segments must never
 outlive their run (worker death, KeyboardInterrupt, shutdown sweep),
-and the deprecated ``executor=``/``workers=`` spellings must resolve to
-the same :class:`ExecutionPlan` as the unified ``plan=`` knob across
-the API, the session, the CLI and the service.
+and ``plan=`` must be the one spelling of an :class:`ExecutionPlan`
+across the API, the session, the CLI and the service (the retired loose
+``executor=``/``workers=``/``shm=``/``split_depth=`` spellings and the
+``shm`` boolean are refused).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from conftest import as_sorted_sets
 from repro.core.config import (
     MAX_SPLIT_DEPTH,
     ExecutionPlan,
+    PLAN_FIELDS,
     SearchConfig,
     adv_enum_config,
     adv_max_config,
@@ -43,7 +45,8 @@ from repro.core.shm import (
     sweep_segments,
     unpack_component,
 )
-from repro.core.solver import prepare_components, run_enumeration, run_maximum
+from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.exceptions import (
     ComponentExecutionError,
@@ -53,9 +56,14 @@ from repro.exceptions import (
 from test_core_executor import (
     FAMILY_PARAMS,
     assert_stats_parity,
+    enum_run,
     family_instance,
+    max_run,
     multi_component_graph,
 )
+
+#: The shm pool plan the parity tests replay serial runs over.
+SHM2 = {"executor": "shm", "workers": 2}
 
 
 # ----------------------------------------------------------------------
@@ -67,13 +75,54 @@ class TestExecutionPlan:
         plan = ExecutionPlan()
         assert plan.executor == "serial"
         assert plan.workers is None
-        assert plan.shm is False
         assert plan.split_depth == 0
 
     def test_executor_and_shm_stay_in_sync(self):
-        assert ExecutionPlan(executor="shm").shm is True
-        assert ExecutionPlan(shm=True).executor == "shm"
-        assert ExecutionPlan(executor="process").shm is False
+        # ``executor="shm"`` is the one spelling of the shm transport:
+        # there is no separate ``shm`` boolean left to drift out of sync.
+        assert "shm" not in PLAN_FIELDS
+        assert not hasattr(ExecutionPlan(executor="shm"), "shm")
+        with pytest.raises(TypeError):
+            ExecutionPlan(shm=True)
+        with pytest.raises(TypeError):
+            SearchConfig(shm=True)
+
+    def test_resolve_executor_alone_rederives_shm(self):
+        # A plan carries the executor alone; moving off shm leaves no
+        # transport residue behind.
+        out = resolve_execution_plan({"executor": "process", "workers": 2})
+        assert out == ExecutionPlan(executor="process", workers=2)
+        cfg = SearchConfig(executor="shm", workers=2).evolve(
+            plan={"executor": "process", "workers": 2}
+        )
+        assert cfg.plan == out
+        assert make_executor(cfg).flavour == "process"
+
+    def test_resolve_shm_false_demotes_to_process(self):
+        # The loose ``shm=`` scalar is gone, as a keyword and as a field.
+        with pytest.raises(TypeError):
+            resolve_execution_plan(
+                plan=ExecutionPlan(executor="shm", workers=2), shm=False
+            )
+        with pytest.raises(InvalidParameterError, match="shm"):
+            resolve_execution_plan({"shm": False, "workers": 2})
+
+    def test_resolve_shm_true_promotes(self):
+        # Promotion to shm is spelled through the executor field.
+        assert resolve_execution_plan({"executor": "shm"}).executor == "shm"
+        with pytest.raises(InvalidParameterError, match="shm"):
+            resolve_execution_plan({"shm": True})
+
+    def test_evolve_shm_false_keeps_pool(self):
+        # Demoting shm to a plain pool keeps the pool size; the retired
+        # ``shm=`` spelling is refused by evolve, loose or in a plan.
+        cfg = SearchConfig(executor="shm", workers=2)
+        out = cfg.evolve(executor="process")
+        assert out.executor == "process" and out.workers == 2
+        with pytest.raises(TypeError):
+            cfg.evolve(shm=False)
+        with pytest.raises(InvalidParameterError, match="shm"):
+            SearchConfig().evolve(plan={"shm": True, "workers": 2})
 
     @pytest.mark.parametrize("bad", (
         dict(executor="thread"),
@@ -89,56 +138,35 @@ class TestExecutionPlan:
             ExecutionPlan(**bad)
 
     def test_resolve_nothing_requested(self):
-        assert resolve_execution_plan() is None
-        assert resolve_execution_plan(base=ExecutionPlan(workers=4)) is None
+        assert resolve_execution_plan(None) is None
 
     def test_resolve_plan_and_scalars_conflict(self):
-        with pytest.raises(InvalidParameterError):
+        # The loose scalars are gone: a plan is the only argument.
+        with pytest.raises(TypeError):
             resolve_execution_plan(plan=ExecutionPlan(), workers=2)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(TypeError):
             resolve_execution_plan(plan={"executor": "shm"}, split_depth=1)
 
     def test_resolve_accepts_field_dict(self):
-        plan = resolve_execution_plan(plan={"shm": True, "workers": 3})
-        assert plan == ExecutionPlan(executor="shm", workers=3, shm=True)
+        plan = resolve_execution_plan({"executor": "shm", "workers": 3})
+        assert plan == ExecutionPlan(executor="shm", workers=3)
 
     def test_resolve_rejects_non_plan(self):
         with pytest.raises(InvalidParameterError):
-            resolve_execution_plan(plan="shm")
-
-    def test_resolve_executor_alone_rederives_shm(self):
-        base = ExecutionPlan(executor="shm", workers=2)
-        out = resolve_execution_plan(base, executor="process")
-        assert out.executor == "process" and out.shm is False
-        assert out.workers == 2  # untouched base field survives
-
-    def test_resolve_shm_false_demotes_to_process(self):
-        base = ExecutionPlan(executor="shm", workers=2, split_depth=1)
-        out = resolve_execution_plan(base, shm=False)
-        assert out.executor == "process"
-        assert out.workers == 2 and out.split_depth == 1
-
-    def test_resolve_shm_true_promotes(self):
-        out = resolve_execution_plan(ExecutionPlan(), shm=True)
-        assert out.executor == "shm"
+            resolve_execution_plan("shm")
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            resolve_execution_plan({"bogus": 1})
 
     def test_config_plan_property_roundtrip(self):
         cfg = SearchConfig(executor="shm", workers=2, split_depth=3)
         plan = cfg.plan
-        assert plan == ExecutionPlan(
-            executor="shm", workers=2, shm=True, split_depth=3
-        )
+        assert plan == ExecutionPlan(executor="shm", workers=2, split_depth=3)
         assert SearchConfig().evolve(plan=plan).plan == plan
 
     def test_evolve_executor_alone_drops_shm(self):
-        cfg = SearchConfig(shm=True, workers=2)
+        cfg = SearchConfig(executor="shm", workers=2)
         serial = cfg.evolve(executor="serial")
-        assert serial.executor == "serial" and serial.shm is False
-
-    def test_evolve_shm_false_keeps_pool(self):
-        cfg = SearchConfig(shm=True, workers=2)
-        out = cfg.evolve(shm=False)
-        assert out.executor == "process" and out.workers == 2
+        assert serial.executor == "serial" and serial.workers == 2
 
     def test_make_executor_shm_flavour(self):
         ex = make_executor(SearchConfig(executor="shm", workers=3))
@@ -160,13 +188,14 @@ class TestShmParity:
     @pytest.mark.parametrize("engine", ("engine", "clique"))
     def test_enumeration_matrix(self, family, backend, engine):
         inst = family_instance(family)
-        cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), cfg, engine=engine
+        algorithm = "advanced" if engine == "engine" else engine
+        serial, st_s = enum_run(
+            inst.graph, inst.k, inst.predicate(), None,
+            algorithm=algorithm, backend=backend,
         )
-        par, st_p = run_enumeration(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="shm", workers=2), engine=engine,
+        par, st_p = enum_run(
+            inst.graph, inst.k, inst.predicate(), None,
+            algorithm=algorithm, backend=backend, plan=SHM2,
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
         assert_stats_parity(st_s, st_p, f"shm {family}/{backend}/{engine}")
@@ -178,10 +207,9 @@ class TestShmParity:
     def test_maximum_matrix(self, family, backend, order):
         inst = family_instance(family, maximum=True)
         cfg = adv_max_config(backend=backend, order=order, seed=5)
-        serial, st_s = run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-        par, st_p = run_maximum(
-            inst.graph, inst.k, inst.predicate(),
-            cfg.evolve(executor="shm", workers=2),
+        serial, st_s = max_run(inst.graph, inst.k, inst.predicate(), cfg)
+        par, st_p = max_run(
+            inst.graph, inst.k, inst.predicate(), cfg, plan=SHM2
         )
         assert (serial is None) == (par is None)
         if serial is not None:
@@ -193,9 +221,9 @@ class TestShmParity:
     def test_multi_component_parity(self, backend):
         g, k, pred = multi_component_graph()
         cfg = adv_enum_config(backend=backend)
-        serial, st_s = run_enumeration(g, k, pred, cfg)
-        par, st_p = run_enumeration(
-            g, k, pred, cfg.evolve(executor="shm", workers=3)
+        serial, st_s = enum_run(g, k, pred, cfg)
+        par, st_p = enum_run(
+            g, k, pred, cfg, plan={"executor": "shm", "workers": 3}
         )
         assert as_sorted_sets(serial) == as_sorted_sets(par)
         assert_stats_parity(st_s, st_p, "shm multi-component")
@@ -205,11 +233,12 @@ class TestShmParity:
         # The degenerate shm pool packs and maps segments in-process, so
         # the transport path is exercised on single-core machines too.
         inst = family_instance("borderline")
-        cfg = adv_enum_config(executor="shm", workers=1)
-        serial, st_s = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), adv_enum_config()
+        cfg = adv_enum_config()
+        serial, st_s = enum_run(inst.graph, inst.k, inst.predicate(), cfg)
+        degen, st_d = enum_run(
+            inst.graph, inst.k, inst.predicate(), cfg,
+            plan={"executor": "shm", "workers": 1},
         )
-        degen, st_d = run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
         assert as_sorted_sets(serial) == as_sorted_sets(degen)
         assert_stats_parity(st_s, st_d, "shm workers=1")
         assert active_segments() == []
@@ -245,15 +274,18 @@ class TestBranchSplit:
         # agree on the result AND every parity counter, including the
         # advisory shared_bound high-water mark.
         inst = family_instance(family, maximum=True)
-        base = adv_max_config(split_depth=depth)
         runs = {
-            "inline": base,
-            "process": base.evolve(executor="process", workers=2),
-            "shm": base.evolve(executor="shm", workers=2),
+            "inline": {"split_depth": depth},
+            "process": {"executor": "process", "workers": 2,
+                        "split_depth": depth},
+            "shm": {**SHM2, "split_depth": depth},
         }
         results = {
-            label: run_maximum(inst.graph, inst.k, inst.predicate(), cfg)
-            for label, cfg in runs.items()
+            label: max_run(
+                inst.graph, inst.k, inst.predicate(), adv_max_config(),
+                plan=plan,
+            )
+            for label, plan in runs.items()
         }
         ref, st_ref = results["inline"]
         for label in ("process", "shm"):
@@ -273,21 +305,22 @@ class TestBranchSplit:
         # Splitting reshapes the node schedule (counts may differ) but
         # never the answer.
         inst = family_instance("onion", maximum=True)
-        flat, _ = run_maximum(
+        flat, _ = max_run(
             inst.graph, inst.k, inst.predicate(), adv_max_config()
         )
-        split, _ = run_maximum(
-            inst.graph, inst.k, inst.predicate(),
-            adv_max_config(split_depth=3),
+        split, _ = max_run(
+            inst.graph, inst.k, inst.predicate(), adv_max_config(),
+            plan={"split_depth": 3},
         )
         assert len(split.vertices) == len(flat.vertices)
 
     def test_split_depth_is_inert_for_enumeration(self):
         inst = family_instance("borderline")
         cfg = adv_enum_config()
-        serial, st_s = run_enumeration(inst.graph, inst.k, inst.predicate(), cfg)
-        deep, st_d = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), cfg.evolve(split_depth=4)
+        serial, st_s = enum_run(inst.graph, inst.k, inst.predicate(), cfg)
+        deep, st_d = enum_run(
+            inst.graph, inst.k, inst.predicate(), cfg,
+            plan={"split_depth": 4},
         )
         assert as_sorted_sets(serial) == as_sorted_sets(deep)
         assert_stats_parity(st_s, st_d, "enumeration split_depth")
@@ -360,15 +393,15 @@ class TestSegmentLifecycle:
         # is unlinked on the way out, and the next run (fresh pool)
         # succeeds.
         g, k, pred = multi_component_graph()
-        cfg = adv_enum_config(executor="shm", workers=2)
+        cfg = adv_enum_config()
         monkeypatch.setenv(INJECT_ENV, "exit")
         with pytest.raises(ComponentExecutionError) as err:
-            run_enumeration(g, k, pred, cfg)
+            enum_run(g, k, pred, cfg, plan=SHM2)
         assert err.value.error_type == "BrokenProcessPool"
         assert active_segments() == []
         monkeypatch.delenv(INJECT_ENV)
-        serial, _ = run_enumeration(g, k, pred, adv_enum_config())
-        par, _ = run_enumeration(g, k, pred, cfg)
+        serial, _ = enum_run(g, k, pred, cfg)
+        par, _ = enum_run(g, k, pred, cfg, plan=SHM2)
         assert as_sorted_sets(serial) == as_sorted_sets(par)
         assert active_segments() == []
 
@@ -380,7 +413,7 @@ class TestSegmentLifecycle:
         inst = family_instance("borderline")
         ctxs = prepare_components(
             inst.graph, inst.k, inst.predicate(),
-            adv_enum_config(shm=True),
+            adv_enum_config(executor="shm"),
             SearchStats(), Budget(None, None),
         )
         tasks = [
@@ -428,13 +461,11 @@ class TestSegmentLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Deprecated aliases: one plan, many spellings
+# Retired aliases: one plan, one spelling
 # ----------------------------------------------------------------------
 
 class TestDeprecatedAliases:
-    def test_api_scalars_equal_plan(self):
-        from repro import find_maximum_krcore
-
+    def test_api_plan_object_equals_plan_dict(self):
         inst = family_instance("onion", maximum=True)
         kwargs = dict(predicate=inst.predicate(), with_stats=True)
         via_plan, st_plan = find_maximum_krcore(
@@ -442,28 +473,39 @@ class TestDeprecatedAliases:
             plan=ExecutionPlan(executor="shm", workers=2, split_depth=1),
             **kwargs,
         )
-        via_scalars, st_scalars = find_maximum_krcore(
-            inst.graph, inst.k,
-            executor="shm", workers=2, split_depth=1, **kwargs,
-        )
         via_dict, st_dict = find_maximum_krcore(
             inst.graph, inst.k,
-            plan={"shm": True, "workers": 2, "split_depth": 1}, **kwargs,
+            plan={"executor": "shm", "workers": 2, "split_depth": 1},
+            **kwargs,
         )
-        assert via_plan.vertices == via_scalars.vertices == via_dict.vertices
-        assert_stats_parity(st_plan, st_scalars, "plan vs scalars")
+        assert via_plan.vertices == via_dict.vertices
         assert_stats_parity(st_plan, st_dict, "plan vs dict")
-        assert st_plan.shared_bound == st_scalars.shared_bound
+        assert st_plan.shared_bound == st_dict.shared_bound
 
     def test_api_plan_plus_scalars_raises(self):
-        from repro import enumerate_maximal_krcores
-
+        # The loose scalars are retired: alone or beside a plan, the
+        # one-shot API refuses them.
         inst = family_instance("borderline")
-        with pytest.raises(InvalidParameterError):
-            enumerate_maximal_krcores(
-                inst.graph, inst.k, predicate=inst.predicate(),
-                plan={"executor": "shm"}, workers=2,
-            )
+        for loose in ({"workers": 2}, {"executor": "shm"}, {"shm": True},
+                      {"split_depth": 1}):
+            with pytest.raises(TypeError):
+                enumerate_maximal_krcores(
+                    inst.graph, inst.k, predicate=inst.predicate(),
+                    plan={"executor": "shm"}, **loose,
+                )
+            with pytest.raises(TypeError):
+                KRCoreSession(inst.graph).enumerate(
+                    inst.k, predicate=inst.predicate(), **loose
+                )
+
+    def test_malformed_plan_is_a_parameter_error(self):
+        inst = family_instance("borderline")
+        for plan in ({"bogus": 1}, {"shm": True}, "shm"):
+            with pytest.raises(InvalidParameterError):
+                enumerate_maximal_krcores(
+                    inst.graph, inst.k, predicate=inst.predicate(),
+                    plan=plan,
+                )
 
     def test_session_plan_kwarg_and_cache_sharing(self):
         # The fingerprint strips the executor knobs: a serial query and
@@ -471,8 +513,7 @@ class TestDeprecatedAliases:
         g, k, pred = multi_component_graph()
         session = KRCoreSession(g)
         a, st_a = session.enumerate(
-            k, predicate=pred, plan={"shm": True, "workers": 2},
-            with_stats=True,
+            k, predicate=pred, plan=SHM2, with_stats=True,
         )
         assert st_a.cache_misses == st_a.components
         b, st_b = session.enumerate(k, predicate=pred, with_stats=True)
@@ -484,8 +525,7 @@ class TestDeprecatedAliases:
         g, k, pred = multi_component_graph()
         rows_serial = KRCoreSession(g).sweep([k], [pred.r], predicate=pred)
         rows_shm = KRCoreSession(g).sweep(
-            [k], [pred.r], predicate=pred,
-            plan={"shm": True, "workers": 2},
+            [k], [pred.r], predicate=pred, plan=SHM2,
         )
         assert rows_shm == rows_serial
 
@@ -511,25 +551,29 @@ class TestServeExecutionKnobs:
 
         return KRCoreService(GraphStore(db), **kwargs)
 
-    def test_plan_default_equals_scalar_default(self, stored):
+    def test_plan_default_object_equals_dict(self, stored):
         db, inst = stored
         params = {"k": inst.k, "r": inst.predicate().r}
-        via_plan = self._service(db, plan={"shm": True, "workers": 2})
-        via_scalars = self._service(db, executor="shm", workers=2)
+        via_dict = self._service(db, plan=SHM2)
+        via_plan = self._service(db, plan=ExecutionPlan(**SHM2))
         plain = self._service(db)
         try:
-            a = via_plan.handle("onion", "maximum", params)
-            b = via_scalars.handle("onion", "maximum", params)
+            a = via_dict.handle("onion", "maximum", params)
+            b = via_plan.handle("onion", "maximum", params)
             c = plain.handle("onion", "maximum", params)
             assert a["core"] == b["core"] == c["core"]
         finally:
-            for svc in (via_plan, via_scalars, plain):
+            for svc in (via_dict, via_plan, plain):
                 svc.close()
+        with pytest.raises(TypeError):
+            self._service(db, executor="shm", workers=2)
+        with pytest.raises(InvalidParameterError):
+            self._service(db, plan={"shm": True})
 
     def test_request_plan_overrides_service_defaults(self, stored):
         db, inst = stored
         r = inst.predicate().r
-        svc = self._service(db, executor="shm", workers=2)
+        svc = self._service(db, plan=SHM2)
         try:
             base = svc.handle("onion", "maximum", {"k": inst.k, "r": r})
             override = svc.handle("onion", "maximum", {
@@ -541,19 +585,25 @@ class TestServeExecutionKnobs:
             svc.close()
 
     def test_scalar_knobs_and_string_bools(self, stored):
+        # The retired loose request knobs are unknown parameters now:
+        # each answers 400 instead of selecting an executor.
         db, inst = stored
         r = inst.predicate().r
         svc = self._service(db)
         try:
-            a = svc.handle("onion", "maximum", {"k": inst.k, "r": r})
-            b = svc.handle("onion", "maximum", {
-                "k": inst.k, "r": r, "shm": "true",
-                "workers": 2, "split_depth": 1,
-            })
-            c = svc.handle("onion", "maximum", {
-                "k": inst.k, "r": r, "executor": "shm", "workers": 2,
-            })
-            assert a["core"] == b["core"] == c["core"]
+            for loose in ({"shm": "true"}, {"executor": "process"},
+                          {"workers": 2}, {"split_depth": 1}):
+                with pytest.raises(ServiceError) as err:
+                    svc.handle("onion", "maximum", {
+                        "k": inst.k, "r": r, **loose,
+                    })
+                assert err.value.status == 400
+                assert "unknown parameters" in str(err.value)
+            with pytest.raises(ServiceError) as err:
+                svc.handle("onion", "maximum", {
+                    "k": inst.k, "r": r, "plan": {"shm": True},
+                })
+            assert err.value.status == 400
         finally:
             svc.close()
 
@@ -564,7 +614,7 @@ class TestServeExecutionKnobs:
         try:
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
-                    "k": inst.k, "r": r, "shm": "nope",
+                    "k": inst.k, "r": r, "plan": {"executor": "nope"},
                 })
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
@@ -572,7 +622,7 @@ class TestServeExecutionKnobs:
                 })
             with pytest.raises(ServiceError):
                 svc.handle("onion", "maximum", {
-                    "k": inst.k, "r": r, "split_depth": 99,
+                    "k": inst.k, "r": r, "plan": {"split_depth": 99},
                 })
         finally:
             svc.close()
@@ -622,24 +672,29 @@ class TestCliExecutionFlags:
         shm_out = capsys.readouterr().out
         assert shm_out.splitlines()[0] == serial_out.splitlines()[0]
 
-    def test_shm_shorthand(self, file_graph, capsys):
+    def test_retired_shm_flag_is_rejected(self, file_graph, capsys):
         from repro.cli import main
 
+        with pytest.raises(SystemExit) as exc:
+            main(["mine"] + self._graph_args(file_graph) + ["--shm"])
+        assert exc.value.code == 2
+        capsys.readouterr()
         assert main(
             ["mine"] + self._graph_args(file_graph)
-            + ["--shm", "--workers", "2"]
+            + ["--executor", "shm", "--workers", "2"]
         ) == 0
         assert "maximal (2,0.5)-cores" in capsys.readouterr().out
 
-    def test_workers_without_executor_deprecated(self, file_graph, capsys):
+    def test_workers_without_pool_executor_is_usage_error(
+        self, file_graph, capsys
+    ):
         from repro.cli import main
 
-        with pytest.warns(DeprecationWarning, match="--executor"):
-            code = main(
-                ["maximum"] + self._graph_args(file_graph)
-                + ["--workers", "2"]
-            )
-        assert code == 0
+        for flags in (["--workers", "2"],
+                      ["--workers", "2", "--executor", "serial"]):
+            code = main(["maximum"] + self._graph_args(file_graph) + flags)
+            assert code == 2
+            assert "--workers needs --executor" in capsys.readouterr().err
 
     def test_explicit_executor_does_not_warn(self, file_graph, capsys):
         import warnings

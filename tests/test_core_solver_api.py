@@ -9,7 +9,7 @@ from repro.core.api import (
     krcore_statistics,
 )
 from repro.core.config import adv_enum_config, adv_max_config
-from repro.core.solver import prepare_components
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.core.context import Budget
 from repro.exceptions import (
@@ -54,10 +54,6 @@ class TestPrepareComponents:
         assert prepare_components(
             g, 2, pred, adv_enum_config(), SearchStats(), Budget(None, None)
         ) == []
-
-    def test_order_components_empty(self):
-        from repro.core.solver import order_components
-        assert order_components([]) == []
 
     @pytest.mark.parametrize("backend", ("python", "csr"))
     def test_components_ordered_by_max_degree(self, backend):

@@ -7,7 +7,8 @@ import pytest
 from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.context import Budget
 from repro.core.bounds import kk_prime_bound
-from repro.core.solver import prepare_components, run_enumeration, run_maximum
+from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
+from repro.core.session import prepare_components
 from repro.core.stats import SearchStats
 from repro.datasets.adversarial import (
     FAMILIES,
@@ -78,8 +79,9 @@ class TestOnion:
         inst = build_instance(
             "onion", layers=2, options=2, group=3, half=1, core_tokens=6
         )
-        cores, _ = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), adv_enum_config()
+        cores = enumerate_maximal_krcores(
+            inst.graph, inst.k, predicate=inst.predicate(),
+            config=adv_enum_config(),
         )
         # options ** layers selections, all of size layers * group.
         assert len(cores) == 4
@@ -89,8 +91,9 @@ class TestOnion:
         inst = build_instance(
             "onion", layers=2, options=2, group=3, half=1, core_tokens=6
         )
-        best, stats = run_maximum(
-            inst.graph, inst.k, inst.predicate(), adv_max_config()
+        best, stats = find_maximum_krcore(
+            inst.graph, inst.k, predicate=inst.predicate(),
+            config=adv_max_config(), with_stats=True,
         )
         assert len(best.vertices) == 6
         assert stats.nodes > 1  # the bound cannot close the tree at the root
@@ -120,8 +123,9 @@ class TestRingOfCliques:
         inst = build_instance(
             "ring-of-cliques", cliques=8, clique_size=4, cut_cliques=0
         )
-        cores, _ = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), adv_enum_config()
+        cores = enumerate_maximal_krcores(
+            inst.graph, inst.k, predicate=inst.predicate(),
+            config=adv_enum_config(),
         )
         assert len(cores) == 1
         assert len(cores[0].vertices) == inst.graph.vertex_count
@@ -142,8 +146,9 @@ class TestRingOfCliques:
         inst = build_instance(
             "ring-of-cliques", cliques=9, clique_size=4, cut_cliques=3
         )
-        cores, _ = run_enumeration(
-            inst.graph, inst.k, inst.predicate(), adv_enum_config()
+        cores = enumerate_maximal_krcores(
+            inst.graph, inst.k, predicate=inst.predicate(),
+            config=adv_enum_config(),
         )
         # Cut cliques are mutually dissimilar: no single whole-ring core.
         assert len(cores) > 1

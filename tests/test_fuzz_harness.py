@@ -65,6 +65,27 @@ class TestDifferential:
         assert result.disagreement is not None
         assert result.disagreement.kind == "engine-error"
 
+    def test_runs_the_session_path(self, monkeypatch):
+        # ``improves`` is looked up by the session's maximum loop only:
+        # breaking it there must surface as a disagreement, proving the
+        # differential exercises the pipeline the API and service use.
+        import repro.core.session as session_mod
+
+        g = AttributedGraph(4)
+        for u, v in [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]:
+            g.add_edge(u, v)
+        for u in range(4):
+            g.set_attribute(u, frozenset({"a", "b"}))
+        case = FuzzCase(
+            graph=g, k=2, metric="jaccard", r=0.5, mode="maximum",
+            search={"maximal_check": "none"},
+        )
+        assert run_case(case).ok
+        monkeypatch.setattr(session_mod, "improves", lambda found, seed: False)
+        result = run_case(case)
+        assert result.disagreement is not None
+        assert result.disagreement.kind == "oracle-max"
+
 
 def _find_fault_witness(max_configs=80):
     rng = random.Random(7)

@@ -109,7 +109,8 @@ class TestServiceErrors:
     def test_invalid_knob_value_400(self, service):
         with pytest.raises(ServiceError) as err:
             service.handle(
-                "g", "enumerate", {"k": 2, "r": 0.3, "workers": "many"},
+                "g", "enumerate",
+                {"k": 2, "r": 0.3, "plan": {"workers": "many"}},
             )
         assert err.value.status == 400
 
@@ -348,6 +349,17 @@ class TestHTTP:
 
     def test_bad_params_400(self, http_server):
         status, body = _post(http_server, "/graphs/g/enumerate", {"k": 2})
+        assert status == 400 and "error" in body
+
+    @pytest.mark.parametrize("knobs", (
+        {"plan": {"bogus": 1}},
+        {"plan": {"shm": True}},
+        {"executor": "process"},
+    ))
+    def test_malformed_plan_400(self, http_server, knobs):
+        status, body = _post(
+            http_server, "/graphs/g/enumerate", {"k": 2, "r": 0.3, **knobs},
+        )
         assert status == 400 and "error" in body
 
     def test_shutdown_endpoint(self, stored):

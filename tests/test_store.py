@@ -385,6 +385,61 @@ class TestSessionPersistence:
             entries = warm.cache_stats()["edge_values"]["entries"]
             assert entries == ["jaccard/csr"]
 
+    def test_rows_with_retired_shm_field_stay_warm(self, db):
+        # Result rows as written before ExecutionPlan lost its ``shm``
+        # boolean: their config keys carry ``"shm":false``.  They must
+        # still load, so a warm restart answers with zero engine calls.
+        g = AttributedGraph(4)
+        for u, v in [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]:
+            g.add_edge(u, v)
+        for u in range(4):
+            g.set_attribute(u, frozenset({"a", "b"}))
+        edges = (
+            '["b","00000000000000000000000000000000010000000000000001000000'
+            '00000000020000000000000001000000000000000200000000000000020000'
+            '000000000003000000000000000300000000000000"]'
+        )
+        config = (
+            '"bound":"kkprime","branch":"adaptive","check_order":"degree",'
+            '"early_termination":true,"executor":"serial","lam":5.0,'
+            '"maximal_check":"{check}","mode":"exact",'
+            '"move_similarity_free":true,"node_limit":null,'
+            '"on_budget":"raise","order":"{order}",'
+            '"retain_candidates":true,"seed":0,"shm":false,'
+            '"split_depth":0,"time_limit":null,"warm_start":false,'
+            '"workers":null'
+        )
+        max_cfg = config.format(check="none", order="weighted-delta")
+        enum_cfg = config.format(check="search", order="delta1-then-delta2")
+        rows = [
+            (
+                '["max",{"backend":"csr",' + max_cfg + '},2,'
+                '[[0,1,2,3],' + edges + ',[]]]',
+                '["exact",[0,1,2,3]]',
+            ),
+            (
+                '["enum","engine",{"backend":"csr",' + enum_cfg + '},2,'
+                '[[0,1,2,3],' + edges + ',[]]]',
+                '["cores",[[0,1,2,3]]]',
+            ),
+        ]
+        with GraphStore(db) as store:
+            fp = store.save_graph("g", g)
+            store.save_results("g", rows, fp)
+        with GraphStore(db) as store:
+            warm = KRCoreSession.load(store, "g")
+            assert warm.cache_stats()["results"]["size"] == 2
+            cores, stats = warm.enumerate(2, 0.5, with_stats=True)
+            best, mstats = warm.maximum(2, 0.5, with_stats=True)
+        assert as_sorted_sets(cores) == [[0, 1, 2, 3]]
+        assert sorted(best.vertices) == [0, 1, 2, 3]
+        for st in (stats, mstats):
+            assert st.nodes == 0 and st.cache_misses == 0
+            assert st.cache_hits == 1
+        with pytest.raises(StoreError):
+            codec.decode_config({**codec.encode_config(SearchConfig()),
+                                 "shm": True})
+
 
 class TestCacheStats:
     def test_shape(self):
