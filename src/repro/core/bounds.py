@@ -12,7 +12,10 @@ subgraph ``J'`` bounds its size:
 * **(k,k')-core bound (Algorithm 6)** — the paper's novel bound: peel
   ``J'`` by similarity degree *while simultaneously* holding the
   structural graph ``J`` to a k-core, returning ``k'max + 1``.  Tighter
-  because it exploits both constraints at once.
+  because it exploits both constraints at once.  The set engine computes
+  ``k'max`` (the value reference); the bitset engine only needs to know
+  whether ``k'max + 1`` exceeds the incumbent, which one (k, t)-core
+  peel at ``t = |R*|`` answers.
 
 All bounds are capped by ``|M| + |C|``; the engines check the naive bound
 first and only pay for a tight bound when the naive one fails to prune.
@@ -85,9 +88,10 @@ def kk_prime_bound(ctx: ComponentContext, vertices: Set[int]) -> int:
 
     Vertices violating the structural constraint outright are peeled
     before the bucket walk starts: they can belong to no (k, k')-core,
-    so ``k'max`` is a property of the (k, 1)-core fixpoint — the same
-    order-independent value the vectorised bitset implementation climbs
-    to directly.  (At engine call sites ``M ∪ C`` is already a k-core —
+    so ``k'max`` is a property of the (k, 1)-core fixpoint: the largest
+    ``t`` whose (k, t)-core is non-empty, which is what the bitset
+    engine's threshold peel (:func:`kk_prime_exceeds_bits`) tests one
+    ``t`` at a time.  (At engine call sites ``M ∪ C`` is already a k-core —
     Theorem 2 ran first — so this only matters for direct callers.)
     """
     n = len(vertices)
@@ -172,10 +176,11 @@ _BOUND_FNS = {
 # ----------------------------------------------------------------------
 # Bitset counterparts (the csr engine backend; see core/bitops.py)
 #
-# Bound *values* are pure functions of the node's vertex set: the peels
-# are order-independent decompositions and the greedy colouring order is
-# canonical (degree desc, id asc), so the set-based and bitset engines
-# compute identical bounds and therefore prune identical subtrees.
+# Bounds are pure functions of the node's vertex set: the peels are
+# order-independent decompositions and the greedy colouring order is
+# canonical (degree desc, id asc).  The bitset engine computes the same
+# Color+Kcore value and decides the (k,k') bound by one peel at the
+# incumbent size, so both engines prune identical subtrees.
 # ----------------------------------------------------------------------
 
 def color_kcore_bound_bits(
@@ -249,57 +254,56 @@ def _max_core_bits(
     return current
 
 
-def kk_prime_bound_bits(
-    b: BitsetComponentContext, ctx: ComponentContext, vertices: np.ndarray
-) -> int:
-    """Packed Algorithm 6: the simultaneous (k, k')-core peel, vectorised.
+def kk_prime_exceeds_bits(
+    b: BitsetComponentContext,
+    ctx: ComponentContext,
+    vertices: np.ndarray,
+    t: int,
+) -> bool:
+    """Whether :func:`kk_prime_bound` of ``vertices`` exceeds ``t``.
 
-    ``k'max`` is the (order-independent) largest ``k'`` whose
-    (k, k')-core — the maximal subset where every vertex keeps graph
-    degree ``>= k`` *and* similarity degree ``>= k'`` — is non-empty, so
-    instead of mirroring the reference's per-removal bucket queue
-    (Python-driven, one neighbourhood walk per removal) this climbs
-    ``k'`` directly: peel the survivors down to the (k, k'+1)-core with
-    whole-round mask kernels (every violating vertex removed at once),
-    then jump ``k'`` straight to the new minimum similarity degree —
-    the (k, d)-core equals the (k, k'+1)-core for every ``k'+1 <= d <=
-    min degsim``.  Each outer round strictly increases ``k'``, and every
-    inner round is one vectorised AND + popcount sweep, so no Python
-    loop runs per removal.  Returns the same bound as
-    :func:`kk_prime_bound`.
+    ``k'max + 1 > t`` holds exactly when the (k, t)-core of (J, J')
+    inside ``vertices`` — the maximal subset where every vertex keeps
+    graph degree ``>= k`` *and* similarity degree ``>= t`` — is
+    non-empty, so one threshold peel answers the question the maximum
+    search asks ("can this node beat the incumbent?") without climbing
+    ``k'`` to ``k'max``.  The first round tests every member; later
+    rounds recompute only the live vertices adjacent (in J or J') to
+    those just removed, as :func:`repro.core.bitops.kcore_mask` does.  A
+    (k, t)-core needs at least ``t + 1`` vertices, so the peel answers
+    ``False`` as soon as at most ``t`` survive.
     """
-    n = bitops.popcount(vertices)
-    if n == 0:
-        return 0
-    k = ctx.k
     alive = vertices.copy()
-    kprime = 0
+    mem = bitops.members(alive)
+    left = int(mem.size)
+    if left <= t:
+        return False
+    if t <= 0:
+        return True
+    k = ctx.k
     while True:
-        # Peel to the (k, kprime+1)-core: drop every vertex violating
-        # either constraint, re-evaluate survivors, repeat to fixpoint.
-        while True:
-            mem = bitops.members(alive)
-            if mem.size == 0:
-                return min(kprime + 1, n)
-            deg = bitops.row_popcounts(b.nbr[mem] & alive)
-            degsim = bitops.row_popcounts(b.sim[mem] & alive)
-            bad = mem[(deg < k) | (degsim <= kprime)]
-            if bad.size == 0:
-                break
-            bitops.clear_bits(alive, bad)
-        # Non-empty (k, kprime+1)-core; its minimum similarity degree
-        # says how far k' climbs before the next removal is forced.
-        kprime = int(degsim.min())
+        deg = bitops.row_popcounts(b.nbr[mem] & alive)
+        degsim = bitops.row_popcounts(b.sim[mem] & alive)
+        bad = mem[(deg < k) | (degsim < t)]
+        if bad.size == 0:
+            return True
+        left -= int(bad.size)
+        if left <= t:
+            return False
+        bitops.clear_bits(alive, bad)
+        touched = (
+            bitops.or_reduce_rows(b.nbr[bad])
+            | bitops.or_reduce_rows(b.sim[bad])
+        ) & alive
+        mem = bitops.members(touched)
+        if mem.size == 0:
+            return True
 
-
-_BOUND_FNS_BITS = {
-    "color-kcore": color_kcore_bound_bits,
-    "kkprime": kk_prime_bound_bits,
-}
 
 #: Environment flag consumed ONLY by the differential fuzz harness's
 #: self-test (``scripts/fuzz_krcore.py --self-test``): shaving one off
-#: the csr tight bound makes it *invalid* (it may prune a subtree whose
+#: the csr tight bound (for the (k,k') bound: deciding it at
+#: ``best_size + 1``) makes it *invalid* (it may prune a subtree whose
 #: true maximum equals the real bound), so the harness must detect the
 #: python/csr divergence, shrink the instance, and serialise a repro.
 #: Never set this outside the self-test.
@@ -316,18 +320,30 @@ def compute_bound_bits(
     ctx: ComponentContext,
     M: np.ndarray,
     C: np.ndarray,
+    best_size: int,
 ) -> int:
-    """Mask-space :func:`compute_bound` — same values, same stats."""
+    """Mask-space :func:`compute_bound`, tight at the incumbent size.
+
+    The engine only asks whether the bound is ``<= best_size``, so the
+    (k,k') bound is decided, not valued: when one threshold peel
+    (:func:`kk_prime_exceeds_bits` at ``best_size``) shows that no core
+    larger than the incumbent fits, this returns
+    ``min(|M ∪ C|, best_size)``, else ``|M ∪ C|``.  Both are sound upper
+    bounds, and the prune decision (and ``bound_calls``) equals the set
+    engine's.  Color+Kcore is still computed as a value.
+    """
     vertices = M | C
     cheap = bitops.popcount(vertices)
     name = ctx.config.bound
     if name == "naive" or cheap == 0:
         return cheap
     ctx.stats.bound_calls += 1
-    tight = _BOUND_FNS_BITS[name](b, ctx, vertices)
-    if _injected_bound_fault():
-        return min(cheap, tight) - 1
-    return min(cheap, tight)
+    shave = 1 if _injected_bound_fault() else 0
+    if name == "kkprime":
+        if kk_prime_exceeds_bits(b, ctx, vertices, best_size + shave):
+            return cheap
+        return min(cheap, best_size)
+    return min(cheap, color_kcore_bound_bits(b, ctx, vertices)) - shave
 
 
 def compute_bound(ctx: ComponentContext, M: Set[int], C: Set[int]) -> int:

@@ -254,7 +254,7 @@ def _search_bits(
             ctx.stats.bound_pruned += 1
             continue
         if cfg.bound != "naive":
-            if compute_bound_bits(b, ctx, M, C) <= best_size:
+            if compute_bound_bits(b, ctx, M, C, best_size) <= best_size:
                 ctx.stats.bound_pruned += 1
                 continue
 

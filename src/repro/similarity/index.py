@@ -45,6 +45,10 @@ AttributeSource = Union[AttributedGraph, CSRGraph]
 _WJ_MIN_VERTICES = 48
 #: ... and below this distinct-key (vocabulary) count.
 _WJ_MAX_VOCABULARY = 4096
+#: Cells (edges x vocabulary) per weighted-Jaccard edge-value chunk.
+#: Each chunk makes three float64 temporaries of this many cells; rows
+#: are summed independently, so the values do not depend on the size.
+_WJ_CHUNK_CELLS = 256_000
 
 
 class DissimilarityIndex:
@@ -530,7 +534,7 @@ def edge_profile_similarities(
                 counts[u, vocabulary[key]] = 1.0
     sums = counts.sum(axis=1)
     sims = np.zeros(live.size, dtype=np.float64)
-    chunk = max(1, 16_000_000 // d)
+    chunk = max(1, _WJ_CHUNK_CELLS // d)
     for start in range(0, live.size, chunk):
         block = live[start:start + chunk]
         bu, bv = eu[block], ev[block]

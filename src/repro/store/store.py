@@ -20,9 +20,10 @@ Concurrency
 One connection serves all threads (``check_same_thread=False``) behind
 an internal lock; file-backed stores run in WAL mode so the service's
 reader threads do not block its writer.  The schema carries a version
-number; opening a database written by an incompatible version rebuilds
-it from scratch (the store is a cache — the canonical data always also
-exists as graph rows, which are versioned with the schema).
+number; opening a database stamped with another version raises
+:class:`~repro.exceptions.StoreError` and leaves the file as it is.  The
+graph rows and the edit log are the canonical copy of the data, so a
+mismatch is never resolved by dropping tables.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_fingerprint
 from repro.store.codec import decode_attribute, decode_edit, encode_attribute
 
-#: Bump on any incompatible schema change; mismatched stores rebuild.
+#: Bump on any incompatible schema change (and add a migration): a store
+#: stamped with another version is refused, never rebuilt.
 SCHEMA_VERSION = 1
 
 _TABLES = {
@@ -120,7 +122,11 @@ class GraphStore:
         if self._path != ":memory:":
             self._conn.execute("PRAGMA journal_mode = WAL")
             self._conn.execute("PRAGMA synchronous = NORMAL")
-        self._ensure_schema()
+        try:
+            self._ensure_schema()
+        except BaseException:
+            self._conn.close()
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -148,9 +154,11 @@ class GraphStore:
                 ).fetchone()
                 version = int(row[0]) if row else None
             if version is not None and version != SCHEMA_VERSION:
-                for table in _TABLES:
-                    self._conn.execute(f"DROP TABLE IF EXISTS {table}")
-                version = None
+                raise StoreError(
+                    f"store {self._path!r} has schema version {version}; "
+                    f"this version of the library reads schema version "
+                    f"{SCHEMA_VERSION} and does not migrate"
+                )
             for table, spec in _TABLES.items():
                 self._conn.execute(f"CREATE TABLE IF NOT EXISTS {table} {spec}")
             for stmt in _INDICES:

@@ -24,18 +24,20 @@ from conftest import (
 )
 from repro.core import bitops
 from repro.core.bounds import (
+    FAULT_ENV,
     color_kcore_bound,
     color_kcore_bound_bits,
     compute_bound,
     compute_bound_bits,
     kk_prime_bound,
-    kk_prime_bound_bits,
+    kk_prime_exceeds_bits,
 )
 from repro.core.config import adv_enum_config, adv_max_config
 from repro.core.context import BitsetComponentContext, bitset_context
 from repro.core.enumerate import enumerate_component
 from repro.core.maximum import find_maximum_in_component
 from repro.core.api import enumerate_maximal_krcores, find_maximum_krcore
+from repro.datasets.adversarial import build_instance, sample_instance
 from repro.datasets.planted import planted_communities
 from repro.graph.kcore import anchored_k_core, k_core_vertices
 from repro.similarity.threshold import SimilarityPredicate
@@ -202,10 +204,51 @@ class TestBitsetComponentContext:
         assert b.to_vertices(b.mask_of(some)) == frozenset(some)
 
 
+def _family_contexts(family, seed, size):
+    """Prepared maximum contexts of a planted/adversarial instance."""
+    rng = random.Random(seed)
+    if family == "planted":
+        lo, hi = (6, 9) if size == "tiny" else (30, 80)
+        plant = planted_communities(
+            n_blocks=rng.randint(2, 3), block_size=rng.randint(lo, hi),
+            k=3, seed=seed,
+        )
+        return single_component_context(
+            plant.graph, plant.k, plant.predicate, adv_max_config(),
+        )
+    # Some samples peel to nothing at their own k; fall back to k=2, then
+    # to another draw.
+    for _ in range(20):
+        inst = sample_instance(family, rng, size)
+        for k in (inst.k, 2):
+            ctxs = single_component_context(
+                inst.graph, k, inst.predicate(), adv_max_config(),
+            )
+            if ctxs:
+                return ctxs
+    return []
+
+
 class TestBoundValueEquality:
-    """Both bound implementations are pure functions of the node's
-    vertex set and must return the same integers (the maximum engines'
-    traversals — and therefore results — hinge on this)."""
+    """Both engines prune identical subtrees: Color+Kcore is the same
+    integer on both, and the bitset engine's (k,k') threshold peel
+    answers ``kk_prime_bound(V) > t`` exactly, for every ``t`` (which
+    pins the value)."""
+
+    @staticmethod
+    def _assert_peel_matches(ctx, rng, samples):
+        b = bitset_context(ctx)
+        verts = sorted(ctx.vertices)
+        subs = [set(verts)] + [
+            set(rng.sample(verts, rng.randint(1, len(verts))))
+            for _ in range(samples)
+        ]
+        for sub in subs:
+            mask = b.mask_of(sub)
+            want = kk_prime_bound(ctx, sub)
+            for t in range(len(sub) + 2):
+                assert kk_prime_exceeds_bits(b, ctx, mask, t) == (want > t)
+            assert bitops.equal(mask, b.mask_of(sub))  # input untouched
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("geo", [False, True])
@@ -220,19 +263,44 @@ class TestBoundValueEquality:
         )
         rng = random.Random(seed)
         for ctx in single_component_context(g, 2, pred, adv_max_config()):
+            self._assert_peel_matches(ctx, rng, 4)
             b = bitset_context(ctx)
             verts = sorted(ctx.vertices)
             for _ in range(4):
                 sub = set(rng.sample(verts, rng.randint(1, len(verts))))
-                mask = b.mask_of(sub)
-                assert kk_prime_bound(ctx, sub) == kk_prime_bound_bits(
-                    b, ctx, mask
-                )
                 assert color_kcore_bound(ctx, sub) == color_kcore_bound_bits(
-                    b, ctx, mask
+                    b, ctx, b.mask_of(sub)
                 )
 
-    def test_compute_bound_dispatch_matches(self):
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("size", ["tiny", "small"])
+    @pytest.mark.parametrize(
+        "family", ["planted", "onion", "borderline", "interleaved"],
+    )
+    def test_threshold_peel_matches_reference_on_families(
+        self, family, size, seed
+    ):
+        ctxs = _family_contexts(family, seed, size)
+        assert ctxs
+        rng = random.Random(seed + 1000)
+        for ctx in ctxs:
+            self._assert_peel_matches(ctx, rng, 6)
+
+    def test_threshold_peel_edges(self):
+        g = make_random_attr_graph(3, n=12)
+        pred = SimilarityPredicate("jaccard", 0.35)
+        ctx = single_component_context(g, 2, pred, adv_max_config())[0]
+        b = bitset_context(ctx)
+        empty = bitops.zeros(b.words)
+        assert not kk_prime_exceeds_bits(b, ctx, empty, 0)
+        assert kk_prime_exceeds_bits(b, ctx, empty, -1)  # 0 > -1
+        full = b.mask_of(set(ctx.vertices))
+        assert kk_prime_exceeds_bits(b, ctx, full, 0)
+        assert kk_prime_exceeds_bits(b, ctx, full, -3)
+        assert not kk_prime_exceeds_bits(b, ctx, full, len(ctx.vertices))
+
+    @staticmethod
+    def _dispatch_cases():
         g = make_random_attr_graph(3, n=12)
         pred = SimilarityPredicate("jaccard", 0.35)
         for bound in ("naive", "color-kcore", "kkprime"):
@@ -244,10 +312,62 @@ class TestBoundValueEquality:
                 vs = set(ctx.vertices)
                 cut = max(1, len(vs) // 3)
                 M = set(sorted(vs)[:cut])
-                C = vs - M
-                assert compute_bound(ctx, M, C) == compute_bound_bits(
-                    b, ctx, b.mask_of(M), b.mask_of(C)
-                )
+                for C in (vs - M, set(sorted(vs)[cut::2])):
+                    for best in range(-1, len(M | C) + 2):
+                        yield bound, ctx, b, M, C, best
+
+    def test_compute_bound_dispatch_matches(self):
+        for bound, ctx, b, M, C, best in self._dispatch_cases():
+            before = ctx.stats.bound_calls
+            ref = compute_bound(ctx, M, C)
+            mid = ctx.stats.bound_calls
+            got = compute_bound_bits(
+                b, ctx, b.mask_of(M), b.mask_of(C), best
+            )
+            assert ctx.stats.bound_calls - mid == mid - before
+            # The same prune decision, from a sound upper bound.
+            assert (got <= best) == (ref <= best), (bound, best)
+            assert got >= ref
+            if bound != "kkprime":
+                assert got == ref
+
+    def test_injected_bound_shave_decides_one_higher(self, monkeypatch):
+        monkeypatch.setenv(FAULT_ENV, "bound-shave")
+        for bound, ctx, b, M, C, best in self._dispatch_cases():
+            if bound == "naive":
+                continue
+            ref = compute_bound(ctx, M, C)
+            got = compute_bound_bits(
+                b, ctx, b.mask_of(M), b.mask_of(C), best
+            )
+            assert (got <= best) == (ref - 1 <= best), (bound, best)
+
+
+class TestDeepMaximumCounters:
+    """On deep maximum trees the threshold peel makes exactly the prune
+    decisions of the k'max computation: counters pinned from it, equal
+    on both backends."""
+
+    @pytest.mark.parametrize(
+        "family,params,want",
+        [
+            ("onion", {"layers": 4}, (96, 715, 580, 306)),
+            ("borderline", {"n": 80, "half": 3}, (54, 53, 28, 25)),
+        ],
+    )
+    def test_counters_pinned_on_both_backends(self, family, params, want):
+        inst = build_instance(family, **params)
+        for backend in ("python", "csr"):
+            core, st = find_maximum_krcore(
+                inst.graph, inst.k, predicate=inst.predicate(),
+                config=adv_max_config(bound="kkprime", backend=backend),
+                with_stats=True,
+            )
+            got = (
+                len(core.vertices), st.nodes, st.bound_calls,
+                st.bound_pruned,
+            )
+            assert got == want, backend
 
 
 class TestPlantedRecovery:

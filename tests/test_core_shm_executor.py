@@ -13,6 +13,8 @@ across the API, the session, the CLI and the service (the retired loose
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import as_sorted_sets
@@ -670,7 +672,11 @@ class TestCliExecutionFlags:
             + ["--executor", "shm", "--workers", "2", "--split-depth", "1"]
         ) == 0
         shm_out = capsys.readouterr().out
-        assert shm_out.splitlines()[0] == serial_out.splitlines()[0]
+
+        # The summary line carries wall-clock seconds; drop only those.
+        timed = re.compile(r"\[\d+\.\d+s, ")
+        assert timed.search(serial_out) and timed.search(shm_out)
+        assert timed.sub("[", shm_out) == timed.sub("[", serial_out)
 
     def test_retired_shm_flag_is_rejected(self, file_graph, capsys):
         from repro.cli import main

@@ -1,12 +1,17 @@
 """Dissimilarity index: correctness vs brute force, numpy geo path."""
 
+import numpy as np
 import pytest
 
 from conftest import make_geo_graph, make_random_attr_graph
+from repro.datasets.registry import load_dataset
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.csr import CSRGraph
+from repro.similarity import index as index_mod
 from repro.similarity.index import (
     DissimilarityIndex,
     build_index,
+    edge_profile_similarities,
     remove_dissimilar_edges,
 )
 from repro.similarity.threshold import SimilarityPredicate
@@ -124,3 +129,21 @@ class TestRemoveDissimilarEdges:
         filtered = remove_dissimilar_edges(g, pred)
         assert filtered.has_edge(0, 1)
         assert not filtered.has_edge(1, 2)
+
+
+class TestWeightedJaccardChunking:
+    """Edge values are summed row by row, so the chunk size changes the
+    memory held at once, never a value."""
+
+    def test_values_identical_across_chunk_sizes(self, monkeypatch):
+        csr = CSRGraph.from_attributed(load_dataset("dblp", scale=0.5))
+        eu, ev = csr.edge_array()
+        live = np.arange(eu.size)
+        pred = SimilarityPredicate("weighted_jaccard", 0.1)
+        runs = []
+        for cells in (1, 16_000_000):
+            monkeypatch.setattr(index_mod, "_WJ_CHUNK_CELLS", cells)
+            runs.append(edge_profile_similarities(csr, eu, ev, live, pred))
+        assert runs[0] is not None and runs[0].size == live.size > 100
+        assert np.array_equal(runs[0], runs[1])
+        assert np.any(runs[0] > 0.0)

@@ -217,15 +217,41 @@ class TestGraphStore:
             assert log[0]["seq"] == 1
             assert log[0]["edit"]["add_edges"] == [(3, 4)]
 
-    def test_schema_version_mismatch_rebuilds(self, db):
-        with GraphStore(db) as store:
-            store.save_graph("g", small_attr_graph())
+    @staticmethod
+    def _stamp(db, version):
         raw = sqlite3.connect(db)
-        raw.execute("UPDATE meta SET value='0' WHERE key='schema_version'")
+        raw.execute(
+            "UPDATE meta SET value=? WHERE key='schema_version'",
+            (str(version),),
+        )
         raw.commit()
         raw.close()
-        with GraphStore(db) as store:
-            assert store.list_graphs() == []
+
+    def test_schema_version_mismatch_refused(self, tmp_path):
+        for version in (0, 2):  # older and newer stamps alike
+            db = str(tmp_path / f"v{version}.db")
+            g = small_attr_graph()
+            with GraphStore(db) as store:
+                store.save_graph("g", g)
+                g.add_edge(3, 4)
+                store.record_edit(
+                    "g", codec.encode_edit([(3, 4)], [], {}),
+                    graph_fingerprint(g), add_edges=[(3, 4)],
+                )
+            self._stamp(db, version)
+            with pytest.raises(StoreError) as err:
+                GraphStore(db)
+            assert f"schema version {version}" in str(err.value)
+            assert "schema version 1" in str(err.value)
+            # Nothing was dropped: the rows are all still there.
+            raw = sqlite3.connect(db)
+            assert raw.execute("SELECT name FROM graphs").fetchall() == [("g",)]
+            assert raw.execute("SELECT COUNT(*) FROM edges").fetchone()[0] == 5
+            raw.close()
+            self._stamp(db, 1)
+            with GraphStore(db) as store:
+                assert [r["name"] for r in store.list_graphs()] == ["g"]
+                assert len(store.edit_log("g")) == 1
 
     def test_stats_counts_rows(self, db):
         with GraphStore(db) as store:
