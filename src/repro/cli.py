@@ -380,6 +380,7 @@ def _cmd_store(args) -> int:
 
 def _cmd_serve(args) -> int:
     import signal
+    import threading
 
     from repro.serve import KRCoreService, make_server, run_server
     from repro.store import GraphStore
@@ -400,7 +401,9 @@ def _cmd_serve(args) -> int:
           f"on http://{host}:{port} (Ctrl-C to stop)")
 
     def _stop(signum, frame):
-        server.stop()
+        # The handler runs on the thread blocked in serve_forever, so it
+        # only asks the loop to end; run_server flushes once it has.
+        threading.Thread(target=server.shutdown, daemon=True).start()
 
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)

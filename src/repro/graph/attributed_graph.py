@@ -36,7 +36,10 @@ class AttributedGraph:
         examples); purely cosmetic.
     """
 
-    __slots__ = ("_adj", "_attributes", "_labels", "_edge_count")
+    __slots__ = (
+        "_adj", "_attributes", "_labels", "_edge_count",
+        "_fp_rows", "_fp_dirty",
+    )
 
     def __init__(
         self,
@@ -49,6 +52,12 @@ class AttributedGraph:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self._adj: List[Set[int]] = [set() for _ in range(n)]
         self._edge_count = 0
+        # Fingerprint row cache, built lazily by
+        # :func:`repro.graph.io.graph_fingerprint`: per vertex ``u`` the
+        # bytes of its ``e u v`` lines (``v > u``) and of its ``a u ...``
+        # line, plus the vertices whose rows an edit has made stale.
+        self._fp_rows: Optional[Tuple[List[bytes], List[bytes]]] = None
+        self._fp_dirty: Set[int] = set()
         for u, v in edges:
             self.add_edge(u, v)
         self._attributes: Dict[int, Any] = {}
@@ -151,6 +160,8 @@ class AttributedGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._edge_count += 1
+        if self._fp_rows is not None:
+            self._fp_dirty.add(min(u, v))
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -165,12 +176,16 @@ class AttributedGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1
+        if self._fp_rows is not None:
+            self._fp_dirty.add(min(u, v))
         return True
 
     def set_attribute(self, u: int, value: Any) -> None:
         """Assign attribute ``value`` to vertex ``u``."""
         self._check_vertex(u)
         self._attributes[u] = value
+        if self._fp_rows is not None:
+            self._fp_dirty.add(u)
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -182,6 +197,10 @@ class AttributedGraph:
         g._edge_count = self._edge_count
         g._attributes = dict(self._attributes)
         g._labels = list(self._labels) if self._labels is not None else None
+        if self._fp_rows is not None:
+            edge_rows, attr_rows = self._fp_rows
+            g._fp_rows = (list(edge_rows), list(attr_rows))
+            g._fp_dirty = set(self._fp_dirty)
         return g
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "AttributedGraph":

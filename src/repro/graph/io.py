@@ -298,15 +298,35 @@ def graph_fingerprint(graph: AttributedGraph) -> str:
     ``PYTHONHASHSEED``.  The dataset-determinism CI job diffs these
     across hash seeds for every registry dataset and adversarial family;
     tests use it for seed-stability assertions.
+
+    The hashed bytes are the ``e u v`` lines of every edge ``u < v`` in
+    ascending ``(u, v)`` order, then the ``a u <canon>`` line of every
+    attributed vertex in ascending ``u`` order.  Both are cached on the
+    graph as one bytes row per vertex: the first call renders every row,
+    and later calls re-render only the rows of vertices the graph's
+    mutators marked dirty, so fingerprinting an edited graph costs the
+    touched rows plus one hash pass.  Attribute values must therefore be
+    treated as immutable — change one with ``set_attribute``, never in
+    place.  Like the mutators, this is not safe to call concurrently on
+    one graph object (the service calls it under the graph's entry lock).
     """
-    h = hashlib.sha256()
-    for u, v in sorted(tuple(sorted(e)) for e in graph.edges()):
-        h.update(f"e {u} {v}\n".encode())
-    for u in sorted(graph.vertices()):
-        if not graph.has_attribute(u):
-            continue
-        canon = _canonical_attribute(graph.attribute(u))
-        h.update(f"a {u} {canon}\n".encode())
+    if graph._fp_rows is None:
+        n = graph.vertex_count
+        graph._fp_rows = ([b""] * n, [b""] * n)
+        graph._fp_dirty = set(range(n))
+    edge_rows, attr_rows = graph._fp_rows
+    adj, attributes = graph._adj, graph._attributes
+    for u in graph._fp_dirty:
+        edge_rows[u] = "".join(
+            [f"e {u} {v}\n" for v in sorted(adj[u]) if v > u]
+        ).encode()
+        attr_rows[u] = (
+            f"a {u} {_canonical_attribute(attributes[u])}\n".encode()
+            if u in attributes else b""
+        )
+    graph._fp_dirty.clear()
+    h = hashlib.sha256(b"".join(edge_rows))
+    h.update(b"".join(attr_rows))
     return h.hexdigest()
 
 

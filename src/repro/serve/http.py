@@ -156,21 +156,34 @@ class KRCoreHTTPServer(ThreadingHTTPServer):
         self.verbose = verbose
         self._stop_lock = threading.Lock()
         self._stopped = False
+        self._closed = threading.Event()
 
     def stop(self, from_request: bool = False) -> None:
-        """Stop serving and flush dirty state (idempotent, thread-safe)."""
+        """Stop serving, flush dirty state and close the store.
+
+        Idempotent and thread-safe: the first caller flushes and closes
+        the service, and every later caller blocks until that has
+        finished, so :func:`run_server` never returns mid-flush.  Not
+        for the thread running ``serve_forever`` while the loop is live
+        (a signal handler, say): ``shutdown()`` would wait on itself.
+        """
         with self._stop_lock:
-            if self._stopped:
-                return
+            first = not self._stopped
             self._stopped = True
-        if from_request:
-            # shutdown() deadlocks when called from a handler thread —
-            # hand it to a helper thread and return so the response
-            # already sent can complete.
-            threading.Thread(target=self.shutdown, daemon=True).start()
-        else:
-            self.shutdown()
-        self.service.close()
+        if not first:
+            self._closed.wait()
+            return
+        try:
+            if from_request:
+                # shutdown() deadlocks when called from a handler thread —
+                # hand it to a helper thread and return so the response
+                # already sent can complete.
+                threading.Thread(target=self.shutdown, daemon=True).start()
+            else:
+                self.shutdown()
+            self.service.close()
+        finally:
+            self._closed.set()
 
 
 def make_server(

@@ -559,16 +559,19 @@ class GraphStore:
         with self._lock, self._conn:
             if not self.has_graph(name):
                 raise StoreError(f"no stored graph named {name!r}")
-            for u, v in remove_edges:
-                lo, hi = (u, v) if u < v else (v, u)
-                self._conn.execute(
-                    "DELETE FROM edges WHERE graph = ? AND u = ? AND v = ?",
-                    (name, lo, hi),
-                )
+            # Same order as KRCoreSession.edit (adds, then removes), so an
+            # edge both added and removed in one batch ends up absent here
+            # too and the rows keep matching ``new_fingerprint``.
             for u, v in add_edges:
                 lo, hi = (u, v) if u < v else (v, u)
                 self._conn.execute(
                     "INSERT OR IGNORE INTO edges (graph, u, v) VALUES (?, ?, ?)",
+                    (name, lo, hi),
+                )
+            for u, v in remove_edges:
+                lo, hi = (u, v) if u < v else (v, u)
+                self._conn.execute(
+                    "DELETE FROM edges WHERE graph = ? AND u = ? AND v = ?",
                     (name, lo, hi),
                 )
             for u, value in (attributes or {}).items():

@@ -13,8 +13,9 @@ The test suite validates the solvers three independent ways:
 
 from __future__ import annotations
 
+import hashlib
 import random
-from typing import FrozenSet, List, Optional
+from typing import Any, FrozenSet, List, Optional
 
 import pytest
 
@@ -51,6 +52,27 @@ def make_random_attr_graph(
     for i in range(n):
         g.set_attribute(i, frozenset(rng.sample(list(VOCAB), attrs)))
     return g
+
+
+def reference_fingerprint(graph: AttributedGraph) -> str:
+    """Oracle for :func:`repro.graph.io.graph_fingerprint`: a private copy
+    of the full, cache-free serialisation it must stay byte-identical to
+    (every edge and attribute rendered and sorted from scratch)."""
+
+    def canon(attr: Any) -> str:
+        if isinstance(attr, (frozenset, set)):
+            return "s:" + ",".join(sorted(map(str, attr)))
+        if isinstance(attr, dict):
+            return "d:" + ",".join(f"{key}={attr[key]!r}" for key in sorted(attr))
+        return f"v:{attr!r}"
+
+    h = hashlib.sha256()
+    for u, v in sorted(tuple(sorted(e)) for e in graph.edges()):
+        h.update(f"e {u} {v}\n".encode())
+    for u in sorted(graph.vertices()):
+        if graph.has_attribute(u):
+            h.update(f"a {u} {canon(graph.attribute(u))}\n".encode())
+    return h.hexdigest()
 
 
 def make_geo_graph(seed: int, n: int = 12, p: float = 0.5) -> AttributedGraph:

@@ -1,9 +1,14 @@
 """Graph text IO: round-trips and format validation."""
 
 import io
+import pickle
+import random
 
 import pytest
 
+from conftest import reference_fingerprint
+from repro.datasets.adversarial import FAMILIES
+from repro.datasets.registry import DATASETS, load_dataset
 from repro.exceptions import GraphError, IngestError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.io import (
@@ -318,3 +323,144 @@ class TestEdgePolicies:
         assert g.edge_count == 1
         with pytest.raises(IngestError, match="self loop"):
             read_attributed_graph(epath, apath, "set", self_loops="error")
+
+
+# ----------------------------------------------------------------------
+# Incremental fingerprint: cached per-vertex rows vs the full serialisation
+# ----------------------------------------------------------------------
+
+#: ``graph_fingerprint`` of :func:`_pinned_graph`, recorded with the
+#: original full-serialisation implementation; stores and edit logs
+#: written before the row cache must keep verifying.
+PINNED_DIGEST = "185f38972cfa3dfcaf6b8f6b30c13b31391a2a28baa569afe15fefa639379dca"
+
+
+def _pinned_graph():
+    return AttributedGraph(
+        6,
+        [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (5, 1)],
+        attributes={
+            0: frozenset({"b", "a"}), 1: {"y": 0.5, "x": 2},
+            2: (1.5, -2.0), 4: 7,
+        },
+    )
+
+
+def _stream_graph(name):
+    if name == "pinned":
+        return _pinned_graph()
+    family, _, variant = name.partition(":")
+    if family in DATASETS:
+        g = load_dataset(family, scale=0.1, seed=3)
+    else:
+        g = FAMILIES[family].build().graph
+    if variant == "half-attributed":
+        # Odd vertices start attribute-free, so set_attribute can add one.
+        return AttributedGraph(
+            g.vertex_count, g.edges(),
+            {u: g.attribute(u) for u in g.vertices() if u % 2 == 0},
+        )
+    return g
+
+
+STREAM_GRAPHS = (
+    ["pinned"]
+    + sorted(DATASETS)
+    + sorted(FAMILIES)
+    + ["dblp:half-attributed", "onion:half-attributed"]
+)
+
+
+def _random_attribute(rng, g):
+    roll = rng.random()
+    if roll < 0.3:
+        return g.attribute(rng.randrange(g.vertex_count))  # borrowed value
+    if roll < 0.45:
+        return None  # the nearest the API has to dropping an attribute
+    if roll < 0.65:
+        return frozenset(rng.sample("abcdefgh", rng.randint(0, 4)))
+    if roll < 0.85:
+        return {w: rng.randint(1, 3) for w in rng.sample("pqrs", 2)}
+    return (rng.uniform(-90, 90), rng.uniform(-180, 180))
+
+
+def _random_edit(rng, g, removed):
+    """One seeded edit, no-ops included, on ``g``."""
+    n = g.vertex_count
+    u = rng.randrange(n)
+    roll = rng.random()
+    if roll < 0.25:
+        v = rng.randrange(n)
+        if v != u:
+            g.add_edge(u, v)
+    elif roll < 0.45:
+        if g.degree(u):
+            v = rng.choice(sorted(g.neighbors(u)))
+            g.remove_edge(u, v)
+            removed.append((u, v))
+    elif roll < 0.55:
+        if removed:
+            g.add_edge(*removed.pop(rng.randrange(len(removed))))
+    elif roll < 0.65:
+        # Explicit no-ops: re-add a present edge, drop an absent one,
+        # re-assign the current attribute value.
+        if g.degree(u):
+            g.add_edge(u, rng.choice(sorted(g.neighbors(u))))
+        v = rng.randrange(n)
+        if v != u and not g.has_edge(u, v):
+            g.remove_edge(u, v)
+        if g.has_attribute(u):
+            g.set_attribute(u, g.attribute(u))
+    else:
+        g.set_attribute(u, _random_attribute(rng, g))
+
+
+class TestIncrementalFingerprint:
+    def test_pinned_digest(self):
+        g = _pinned_graph()
+        assert graph_fingerprint(g) == PINNED_DIGEST
+        g.remove_edge(3, 4)
+        g.set_attribute(3, frozenset({"z"}))
+        assert graph_fingerprint(g) != PINNED_DIGEST
+        g.add_edge(4, 3)
+        g.set_attribute(3, None)
+        assert graph_fingerprint(g) == reference_fingerprint(g)
+
+    def test_empty_graph(self):
+        assert graph_fingerprint(AttributedGraph(0)) == reference_fingerprint(
+            AttributedGraph(0)
+        )
+
+    def test_copy_never_shares_rows(self):
+        g = _pinned_graph()
+        graph_fingerprint(g)
+        g.add_edge(0, 5)  # leave a dirty row behind for the copy
+        c = g.copy()
+        for mine, theirs in zip(g._fp_rows, c._fp_rows):
+            assert mine is not theirs
+        assert g._fp_dirty is not c._fp_dirty
+        c.remove_edge(0, 1)
+        c.set_attribute(0, frozenset({"q"}))
+        assert graph_fingerprint(c) == reference_fingerprint(c)
+        assert graph_fingerprint(g) == reference_fingerprint(g)
+        assert graph_fingerprint(g) != graph_fingerprint(c)
+
+    @pytest.mark.parametrize("name", STREAM_GRAPHS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edit_stream_matches_reference(self, name, seed):
+        rng = random.Random(f"{name}/{seed}")
+        graphs = [_stream_graph(name)]
+        removed = []
+        for _ in range(60):
+            i = rng.randrange(len(graphs))
+            for _ in range(rng.randint(1, 6)):
+                _random_edit(rng, graphs[i], removed)
+            # Copies and pickles taken with dirty rows pending; both
+            # sides of a copy are edited independently afterwards.
+            roll = rng.random()
+            if roll < 0.1 and len(graphs) < 3:
+                graphs.append(graphs[i].copy())
+            elif roll < 0.15:
+                graphs[i] = pickle.loads(pickle.dumps(graphs[i]))
+            for g in graphs:
+                assert graph_fingerprint(g) == reference_fingerprint(g)

@@ -2,13 +2,24 @@
 edits, flush/warm restart, and error mapping."""
 
 import json
+import os
+import random
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from conftest import as_sorted_sets, make_random_attr_graph
+from conftest import (
+    VOCAB,
+    as_sorted_sets,
+    make_random_attr_graph,
+    reference_fingerprint,
+)
 from repro.core.session import KRCoreSession
 from repro.exceptions import ServiceError
 from repro.serve import KRCoreService, make_server, run_server
@@ -242,6 +253,74 @@ class TestEditsAndFlush:
         assert out["graphs"] == ["g", "h"]
 
 
+def _random_edit_request(rng, n):
+    """One seeded edit batch: repeats, no-ops and an edge both added and
+    removed in the same batch all occur."""
+    def pair():
+        u, v = rng.sample(range(n), 2)
+        return [u, v]
+
+    add = [pair() for _ in range(rng.randint(0, 2))]
+    remove = [pair() for _ in range(rng.randint(0, 2))]
+    if add and rng.random() < 0.2:
+        remove.append(list(reversed(add[0])))
+    attributes = {}
+    if rng.random() < 0.4:
+        attributes[str(rng.randrange(n))] = [
+            "set", sorted(rng.sample(VOCAB, rng.randint(1, 3)))
+        ]
+    return {"add_edges": add, "remove_edges": remove, "attributes": attributes}
+
+
+def _replay(log, upto):
+    """The stored graph after edits ``1..upto``, rebuilt on a fresh graph."""
+    g = service_graph()
+    for row in log[:upto]:
+        edit = row["edit"]
+        for u, v in edit["add_edges"]:
+            g.add_edge(u, v)
+        for u, v in edit["remove_edges"]:
+            g.remove_edge(u, v)
+        for u, value in edit["attributes"].items():
+            g.set_attribute(u, value)
+    return g
+
+
+class TestServedEditLog:
+    def test_logged_fingerprints_match_replay(self, stored):
+        rng = random.Random(14)
+        svc = KRCoreService(GraphStore(stored))
+        try:
+            svc.handle("g", "enumerate", {"k": 2, "r": 0.3})
+            n = service_graph().vertex_count
+            for i in range(50):
+                out = svc.handle("g", "edit", _random_edit_request(rng, n))
+                if i % 7 == 3:
+                    svc.handle("g", "flush", {})
+                if i % 10 == 9:
+                    # The patched rows verify mid-stream, flushed or not.
+                    with GraphStore(stored) as reader:
+                        live = reader.load_graph("g")
+                    assert reference_fingerprint(live) == out["fingerprint"]
+            expected = svc.handle("g", "enumerate", {"k": 2, "r": 0.3})
+        finally:
+            svc.close()
+        with GraphStore(stored) as store:
+            log = store.edit_log("g")
+            assert [row["seq"] for row in log] == list(range(1, len(log) + 1))
+            assert len(log) > 30
+            for row in log:
+                replayed = _replay(log, row["seq"])
+                assert row["fingerprint"] == reference_fingerprint(replayed)
+            graph = store.load_graph("g")  # passes its fingerprint check
+            assert store.fingerprint("g") == log[-1]["fingerprint"]
+            assert reference_fingerprint(graph) == log[-1]["fingerprint"]
+            warm = KRCoreSession.load(store, "g")
+            cores, stats = warm.enumerate(2, 0.3, with_stats=True)
+        assert stats.nodes == 0 and stats.cache_misses == 0
+        assert as_sorted_sets(cores) == sorted(expected["cores"])
+
+
 # ----------------------------------------------------------------------
 # HTTP layer
 # ----------------------------------------------------------------------
@@ -382,6 +461,70 @@ class TestHTTP:
             warm = KRCoreSession.load(store, "g")
             __, stats = warm.enumerate(2, 0.3, with_stats=True)
             assert stats.nodes == 0
+
+
+def test_run_server_waits_for_shutdown_flush(stored):
+    """``POST /shutdown`` flushes on its handler thread; ``run_server``
+    must not return (and let the process exit) before that flush ends."""
+    service = KRCoreService(GraphStore(stored))
+    real_flush = service.flush
+    flushed = threading.Event()
+
+    def slow_flush(name=None):
+        time.sleep(1.0)
+        out = real_flush(name)
+        flushed.set()
+        return out
+
+    service.flush = slow_flush
+    server = make_server(service, port=0)
+    ready = threading.Event()
+    flushed_at_return = []
+
+    def serve():
+        run_server(server, ready)
+        flushed_at_return.append(flushed.is_set())
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    assert ready.wait(5.0)
+    host, port = server.server_address[:2]
+    status, _ = _post(f"http://{host}:{port}", "/shutdown")
+    assert status == 200
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert flushed_at_return == [True]
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_cli_serve_stops_on_signal(stored, signum):
+    """A signal ends ``repro serve`` promptly, after a flush."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--db", stored,
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("serving"), banner + proc.stderr.read()
+        base = banner.split(" on ")[1].split()[0]
+        status, _ = _post(base, "/graphs/g/enumerate", {"k": 2, "r": 0.3})
+        assert status == 200
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=5.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "flushed and stopped" in out
+    with GraphStore(stored) as store:
+        warm = KRCoreSession.load(store, "g")
+        __, stats = warm.enumerate(2, 0.3, with_stats=True)
+        assert stats.nodes == 0
 
 
 def test_urlopen_get_404_maps(http_server):

@@ -217,6 +217,22 @@ class TestGraphStore:
             assert log[0]["seq"] == 1
             assert log[0]["edit"]["add_edges"] == [(3, 4)]
 
+    def test_record_edit_applies_adds_before_removes(self, db):
+        # KRCoreSession.edit adds, then removes: an edge in both lists of
+        # one batch ends up absent, and the patched rows must agree.
+        g = small_attr_graph()
+        with GraphStore(db) as store:
+            store.save_graph("g", g)
+            session = KRCoreSession(g)
+            edit = {"add_edges": [(3, 4)], "remove_edges": [(4, 3)]}
+            session.edit(**edit)
+            assert not session.graph.has_edge(3, 4)
+            store.record_edit(
+                "g", codec.encode_edit(**edit),
+                graph_fingerprint(session.graph), **edit,
+            )
+            assert not store.load_graph("g").has_edge(3, 4)
+
     @staticmethod
     def _stamp(db, version):
         raw = sqlite3.connect(db)
